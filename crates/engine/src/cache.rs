@@ -140,17 +140,40 @@ impl QueryCache {
     /// the entry's recency; an expired entry is removed and counts as a miss.
     /// The returned handle shares the stored result (no deep copy per hit).
     pub fn get(&self, key: &str) -> Option<Arc<CachedResult>> {
-        let mut inner = lock_ignoring_poison(&self.inner);
-        let Some(entry) = inner.map.get(key) else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
+        let found = self.lookup(key);
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
         };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    /// Looks `key` up again after a [`QueryCache::get`] miss (the
+    /// single-flight gate re-probes before it lets a worker execute).  A hit
+    /// re-books that lookup from `misses` to `hits`; a miss counts nothing,
+    /// so every lookup is counted exactly once.
+    pub(crate) fn reprobe(&self, key: &str) -> Option<Arc<CachedResult>> {
+        let found = self.lookup(key);
+        if found.is_some() {
+            self.misses.fetch_sub(1, Ordering::Relaxed);
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        found
+    }
+
+    /// The uncounted lookup behind [`QueryCache::get`] and
+    /// [`QueryCache::reprobe`]: refreshes a hit's recency, removes (and
+    /// counts the expiration of) an entry past its TTL.
+    fn lookup(&self, key: &str) -> Option<Arc<CachedResult>> {
+        let mut inner = lock_ignoring_poison(&self.inner);
+        let entry = inner.map.get(key)?;
         if self.expired(entry) {
             let old_tick = entry.tick;
             inner.map.remove(key);
             inner.recency.remove(&old_tick);
             self.expirations.fetch_add(1, Ordering::Relaxed);
-            self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
         // Touch: move the entry to the most-recent end of the recency index
@@ -164,7 +187,6 @@ impl QueryCache {
         inner.map.get_mut(key).expect("entry checked above").tick = tick;
         inner.recency.remove(&old_tick);
         inner.recency.insert(tick, shared_key);
-        self.hits.fetch_add(1, Ordering::Relaxed);
         Some(result)
     }
 
@@ -352,6 +374,21 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
         assert_eq!((stats.evictions, stats.expirations), (0, 0));
+    }
+
+    #[test]
+    fn reprobe_rebooks_a_miss_as_a_hit() {
+        let cache = QueryCache::new();
+        assert!(cache.get("k").is_none());
+        assert!(
+            cache.reprobe("k").is_none(),
+            "a reprobe miss counts nothing"
+        );
+        assert_eq!((cache.stats().hits, cache.stats().misses), (0, 1));
+        // The entry lands between the miss and the reprobe: one lookup, one hit.
+        cache.insert("k".into(), entry());
+        assert!(cache.reprobe("k").is_some());
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 0));
     }
 
     #[test]

@@ -30,10 +30,12 @@
 //! threaded feeder, `SessionMux::feed_line`, `run_streaming`) attach before
 //! a duplicate ever occupies a pool slot, and the worker itself re-checks
 //! after its cache miss (`lead_or_join`) so duplicates that raced past the
-//! submission check still coalesce.  `qld front` adds a third, router-level
-//! tier for one-shot duplicates across client sessions (see
-//! `crates/front/src/coalesce.rs`).
+//! submission check still coalesce — or, if their flight settled in the
+//! meantime, are answered from its fresh cache entry.  `qld front` adds a
+//! third, router-level tier for one-shot duplicates across client sessions
+//! (see `crates/front/src/coalesce.rs`).
 
+use crate::cache::{CachedResult, QueryCache};
 use crate::engine::{EngineCounters, PoolJob, ReplySender};
 use crate::lock_ignoring_poison;
 use crate::response::{EngineError, Outcome, RequestStats, Response};
@@ -58,12 +60,15 @@ pub(crate) struct FlightTable {
 
 /// What [`FlightTable::lead_or_join`] decided for a worker's cache miss.
 pub(crate) enum LeadOutcome {
-    /// No active flight for the key: the caller is now the leader and must
-    /// execute, then settle the lease.
+    /// No active flight and no cache entry for the key: the caller is now
+    /// the leader and must execute, then settle the lease.
     Lead(FlightLease),
     /// The job attached to an active flight as a follower; the flight owns
     /// its delivery (and its in-flight gauge decrement).
     Joined,
+    /// A flight for the key settled between the caller's cache miss and
+    /// this gate: answer from its cache entry as an ordinary hit.
+    Cached(Arc<CachedResult>),
 }
 
 impl FlightTable {
@@ -103,13 +108,21 @@ impl FlightTable {
         true
     }
 
-    /// A worker's post-cache-miss gate: become the key's flight leader, or
-    /// join the active flight as a follower (`make_follower` is only called
-    /// in the latter case).
+    /// A worker's post-cache-miss gate: join the key's active flight as a
+    /// follower (`make_follower` is only called in that case), answer from
+    /// `cache` if a flight settled since the caller's miss, or become the
+    /// key's flight leader.
+    ///
+    /// The cache re-probe runs under the table lock, and a leader inserts
+    /// its result before [`FlightLease::finish`] removes the flight under
+    /// that same lock — so a duplicate always finds the flight or the entry.
+    /// Lock order is table, then cache; the cache never calls back into the
+    /// table.
     pub(crate) fn lead_or_join(
         self: &Arc<Self>,
         key: &str,
         kind: &'static str,
+        cache: &QueryCache,
         make_follower: impl FnOnce() -> Follower,
     ) -> LeadOutcome {
         let mut table = lock_ignoring_poison(&self.inner);
@@ -123,6 +136,9 @@ impl FlightTable {
             // A completed flight still in the table is mid-teardown on its
             // leader's thread; replace it — the old lease removes by
             // identity, never clobbering the new entry.
+        }
+        if let Some(hit) = cache.reprobe(key) {
+            return LeadOutcome::Cached(hit);
         }
         let flight = Arc::new(Flight {
             kind,
@@ -645,5 +661,46 @@ fn partial_outcome(
                 EngineError::execute("request stopped by max-items before completing")
             }
         }),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ops::ExecInfo;
+
+    #[test]
+    fn a_duplicate_reaching_the_gate_after_its_flight_settled_is_a_cache_hit() {
+        let cache = QueryCache::new();
+        let table = Arc::new(FlightTable::new(Arc::default()));
+        let no_follower = || -> Follower { unreachable!("there is no flight to join") };
+        // The leader misses and leads.
+        assert!(cache.get("k").is_none());
+        let LeadOutcome::Lead(lease) = table.lead_or_join("k", "check", &cache, no_follower) else {
+            panic!("the first miss must lead");
+        };
+        // A duplicate misses while the leader is still executing...
+        assert!(cache.get("k").is_none());
+        let outcome = Ok(Outcome::Duality {
+            dual: true,
+            witness: None,
+        });
+        cache.insert(
+            "k".into(),
+            CachedResult {
+                outcome: outcome.clone(),
+                info: ExecInfo::default(),
+            },
+        );
+        lease.finish(&outcome, None, &RequestStats::default());
+        // ...and reaches the gate only after the flight settled: it must be
+        // answered from the cache, not execute a second time.
+        match table.lead_or_join("k", "check", &cache, no_follower) {
+            LeadOutcome::Cached(hit) => assert_eq!(hit.outcome, outcome),
+            _ => panic!("a settled flight's duplicate executed again"),
+        }
+        assert_eq!((table.led(), table.coalesced()), (1, 0));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1), "one lookup each");
     }
 }

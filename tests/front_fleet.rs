@@ -683,6 +683,12 @@ fn cancelled_leader_promotes_a_follower_session() {
     let mut a = front.connect();
     let a_reader = BufReader::new(a.try_clone().unwrap());
     writeln!(a, "mine {rel} z=0 full=true id=leader").unwrap();
+    // B must not reach the router first, or A would be the follower.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while front.router.coalesce_stats().0 < 1 {
+        assert!(Instant::now() < deadline, "leader never registered");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 
     // ...and session B enrolls as its follower.
     let follower_line = format!("mine {rel} z=0 full=true id=dup\n");
