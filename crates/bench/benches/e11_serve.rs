@@ -1,6 +1,7 @@
 //! E11 — serve-session throughput: a mixed wire-format workload streamed
-//! through `Engine::serve_with` (the same path every socket connection
-//! takes), comparing in-order emission with out-of-order (`arrival`)
+//! through `Engine::serve_with`, a blocking driver over the same session
+//! state machine (`SessionMux`) and submission path every socket connection
+//! runs, comparing in-order emission with out-of-order (`arrival`)
 //! streaming, and a tight LRU cache against the default capacity.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

@@ -5,10 +5,15 @@
 //! session — a [`Engine::run_batch`] call, a [`Engine::serve`] loop, or any
 //! number of concurrent socket connections (see [`crate::transport`]) —
 //! multiplexes its requests onto the same workers through one shared
-//! **bounded** job queue (submission blocks when all workers are busy and the
+//! **bounded** job queue (submission waits when all workers are busy and the
 //! queue is full: backpressure, not unbounded buffering).  Each job carries a
 //! reply channel back to the session that submitted it, so sessions never see
 //! each other's responses.
+//!
+//! Every request enters through one submission path (`Submitter::submit`:
+//! local route, flight join, or pool job), and every wire session runs one
+//! state machine (`SessionMux`), whether a readiness loop drives it or
+//! [`Engine::serve_with`] drives it from a blocking reader.
 //!
 //! Results are deterministic: the engine only parallelizes *across* requests,
 //! and every request is answered exactly as a direct single-threaded solver
@@ -20,7 +25,6 @@
 use crate::cache::{CacheStats, CachedResult, QueryCache};
 use crate::fairness::UserBuckets;
 use crate::flight::{FlightSink, FlightTable, Follower, LeadOutcome};
-use crate::lock_ignoring_poison;
 use crate::ops;
 use crate::policy::{
     exec_route, ExecRoute, FixedPolicy, SizeThresholdPolicy, SolverKind, SolverPolicy,
@@ -38,8 +42,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, BufReader, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -159,8 +163,9 @@ pub struct ServeOptions {
     /// output before the connection is treated as dead (cancelled and
     /// dropped).  A consumer that refuses to read an entire cap's worth of
     /// responses is indistinguishable from one that is gone.  `None` uses
-    /// the 8 MiB default; ignored by the thread-per-session fallback, whose
-    /// blocking writes self-limit.
+    /// the 8 MiB default; ignored by [`Engine::serve_with`] (pipe sessions
+    /// and the thread-per-session fallback), whose blocking writes
+    /// self-limit.
     pub write_cap: Option<usize>,
 }
 
@@ -251,16 +256,16 @@ pub(crate) struct PoolJob {
     /// Where the executing worker sends chunk frames and the terminal
     /// response.
     pub(crate) reply: ReplySender,
-    /// The canonical flight/cache key, pre-rendered by the submission site
-    /// when coalescing applies (`None` for control payloads or when
+    /// The canonical flight/cache key, pre-rendered at submission when
+    /// coalescing applies (`None` for control payloads or when
     /// coalescing is off — the worker then renders the cache key itself).
     pub(crate) key: Option<String>,
 }
 
 /// Where a job's frames go: the submitting session's event channel, plus an
-/// optional notifier for sessions multiplexed on a readiness loop (the loop
-/// cannot block on the channel, so each delivery pokes its waker instead;
-/// threaded sessions just block on the channel and pass `None`).
+/// optional notifier for wire sessions (their driver waits on more than this
+/// channel, so each delivery pokes its waker; `run_batch` and
+/// `run_streaming` callers just block on the channel and pass `None`).
 #[derive(Clone)]
 pub(crate) struct ReplySender {
     tx: Sender<StreamEvent>,
@@ -302,8 +307,7 @@ impl ReplySender {
 pub(crate) struct EngineCounters {
     /// Jobs admitted to the pool (queued or running) and not yet answered.
     inflight: AtomicU64,
-    /// Serve sessions currently inside [`Engine::serve_with`] or multiplexed
-    /// on a readiness loop.
+    /// Live serve sessions (one per [`SessionMux`], however it is driven).
     sessions: AtomicU64,
     /// Transport connections currently open (accept/close boundary).
     connections: AtomicU64,
@@ -317,15 +321,6 @@ impl EngineCounters {
     /// delivering a worker-level follower's terminal instead.
     pub(crate) fn job_finished(&self) {
         self.inflight.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Decrements the session gauge when a serve session ends, however it ends.
-struct SessionGuard<'a>(&'a EngineCounters);
-
-impl Drop for SessionGuard<'_> {
-    fn drop(&mut self) {
-        self.0.sessions.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -358,7 +353,7 @@ struct WorkerCtx {
     subtasks: Arc<SubtaskQueue>,
     /// Work-unit floor above which a duality call splits into subtasks.
     parallel_threshold: usize,
-    /// The single-flight registry (shared with the submission sites).
+    /// The single-flight registry (shared with the submission path).
     flights: Arc<FlightTable>,
     /// Whether workers coalesce duplicate cache misses into flights.
     coalesce: bool,
@@ -373,17 +368,98 @@ pub struct Engine {
     cache_restored: u64,
     /// Why the configured snapshot failed to restore, if it did.
     cache_restore_error: Option<String>,
-    /// `Some` for the engine's lifetime; taken in `Drop` to hang up the queue.
-    job_tx: Option<SyncSender<PoolJob>>,
+    /// The submission path, shared with every session.  `Some` for the
+    /// engine's lifetime; taken in `Drop` to hang up the queue.
+    submit: Option<Arc<Submitter>>,
     handles: Vec<JoinHandle<()>>,
+}
+
+/// The engine's one request submission path, shared by [`Engine`]'s own
+/// entry points and every [`SessionMux`]: local route, flight join, or pool
+/// job (see [`Submitter::submit`]).
+pub(crate) struct Submitter {
+    job_tx: SyncSender<PoolJob>,
+    /// Poked after each queued job so parked workers wake for fresh jobs,
+    /// not just for subtasks.
+    subtasks: Arc<SubtaskQueue>,
     /// Live load counters (shared with the worker pool for `stats`).
     counters: Arc<EngineCounters>,
-    /// The subtask queue shared with the pool: submission sites poke it so
-    /// parked workers wake for fresh jobs, not just for subtasks.
-    subtasks: Arc<SubtaskQueue>,
-    /// The single-flight registry: submission sites attach duplicates to
-    /// in-flight executions before they ever occupy a pool slot.
+    /// The single-flight registry: duplicates attach to in-flight
+    /// executions before they ever occupy a pool slot.
     flights: Arc<FlightTable>,
+    /// Whether submissions render flight keys and attempt joins (the cache
+    /// and coalescing are both on).
+    coalesce: bool,
+    /// [`EngineConfig::local_threshold`].
+    local_threshold: usize,
+    /// The engine's routing policy, for local-route answers.
+    policy: Arc<dyn SolverPolicy>,
+}
+
+/// What [`Submitter::submit`] did with a job.
+pub(crate) enum Submitted {
+    /// Answered inline on the local route (see [`ExecRoute`]).
+    Local(Response),
+    /// Attached to an identical in-flight execution; the flight delivers
+    /// its terminal through the job's reply channel.
+    Joined,
+    /// Queued on the worker pool.
+    Queued,
+    /// The queue is full (non-blocking submissions only).  The job is handed
+    /// back unseen by any worker, to be submitted again as is.
+    Full(PoolJob),
+    /// The worker pool hung up (the engine is shutting down).
+    Closed,
+}
+
+impl Submitter {
+    /// Submits one job: a sub-threshold one-shot query is answered inline,
+    /// a duplicate of an in-flight query joins its flight, and anything
+    /// else becomes a pool job — counted on the `inflight` gauge before any
+    /// worker can see (and settle) it.  `block` picks a blocking `send` (the
+    /// engine's own callers) or `try_send` (sessions, which must keep
+    /// draining replies while the queue is full).
+    pub(crate) fn submit(&self, mut job: PoolJob, block: bool) -> Submitted {
+        if let Payload::Query { request, solver } = &job.payload {
+            if exec_route(request, job.stream, self.local_threshold) == ExecRoute::Local {
+                return Submitted::Local(local_response(
+                    job.seq,
+                    job.client_id,
+                    request,
+                    *solver,
+                    self.policy.as_ref(),
+                ));
+            }
+        }
+        // A resubmitted job keeps the key it rendered the first time.
+        if job.key.is_none() {
+            job.key = flight_key(&job.payload, self.coalesce);
+        }
+        if let Some(key) = &job.key {
+            if self.flights.try_join(key, Follower::from_job(&job, false)) {
+                return Submitted::Joined;
+            }
+        }
+        self.counters.inflight.fetch_add(1, Ordering::Relaxed);
+        let sent = if block {
+            self.job_tx.send(job).map_err(|_| Submitted::Closed)
+        } else {
+            self.job_tx.try_send(job).map_err(|e| match e {
+                TrySendError::Full(job) => Submitted::Full(job),
+                TrySendError::Disconnected(_) => Submitted::Closed,
+            })
+        };
+        match sent {
+            Ok(()) => {
+                self.subtasks.notify_workers();
+                Submitted::Queued
+            }
+            Err(refused) => {
+                self.counters.inflight.fetch_sub(1, Ordering::Relaxed);
+                refused
+            }
+        }
+    }
 }
 
 impl Engine {
@@ -443,16 +519,22 @@ impl Engine {
                 thread::spawn(move || worker_loop(&ctx, &job_rx, worker_index))
             })
             .collect();
+        let submit = Submitter {
+            job_tx,
+            subtasks,
+            counters,
+            flights,
+            coalesce: config.cache && config.coalesce,
+            local_threshold: config.local_threshold,
+            policy: Arc::clone(&config.policy),
+        };
         Engine {
             config,
             cache,
             cache_restored,
             cache_restore_error,
-            job_tx: Some(job_tx),
+            submit: Some(Arc::new(submit)),
             handles,
-            counters,
-            subtasks,
-            flights,
         }
     }
 
@@ -476,7 +558,8 @@ impl Engine {
     /// counts the ones executed by a worker other than the one that spawned
     /// them (the rest ran inline on the owning worker at its join point).
     pub fn subtask_stats(&self) -> (u64, u64) {
-        (self.subtasks.spawned(), self.subtasks.stolen())
+        let subtasks = &self.submitter().subtasks;
+        (subtasks.spawned(), subtasks.stolen())
     }
 
     /// Single-flight counters since startup: `(flights_led, coalesced)`.
@@ -484,12 +567,8 @@ impl Engine {
     /// coalescible cache miss); `coalesced` counts the duplicate requests
     /// that attached to one instead of executing — solver runs avoided.
     pub fn coalesce_stats(&self) -> (u64, u64) {
-        (self.flights.led(), self.flights.coalesced())
-    }
-
-    /// Whether submission sites should render flight keys and attempt joins.
-    fn coalesce_enabled(&self) -> bool {
-        self.config.cache && self.config.coalesce
+        let flights = &self.submitter().flights;
+        (flights.led(), flights.coalesced())
     }
 
     /// How many entries [`Engine::new`] restored from the configured cache
@@ -543,38 +622,34 @@ impl Engine {
         }
     }
 
-    /// The shared job queue's sender (alive for the engine's lifetime).
-    fn sender(&self) -> &SyncSender<PoolJob> {
-        self.job_tx.as_ref().expect("pool alive until drop")
+    /// The submission path (alive for the engine's lifetime).
+    fn submitter(&self) -> &Arc<Submitter> {
+        self.submit.as_ref().expect("pool alive until drop")
     }
 
     /// Marks one transport connection open for `stats` reporting; the
     /// returned guard closes it.
     pub(crate) fn track_connection(&self) -> ConnectionGuard {
-        self.counters.connections.fetch_add(1, Ordering::Relaxed);
+        let counters = &self.submitter().counters;
+        counters.connections.fetch_add(1, Ordering::Relaxed);
         ConnectionGuard {
-            counters: Arc::clone(&self.counters),
+            counters: Arc::clone(counters),
         }
     }
 
-    /// Builds the non-blocking session state machine a readiness loop drives
-    /// (see [`SessionMux`]); `reply` is the session's job-reply channel,
-    /// already wired to the loop's waker.
+    /// Builds the session state machine for one wire session (see
+    /// [`SessionMux`]); `reply` is the session's job-reply channel, already
+    /// wired to its driver's waker.
     pub(crate) fn session_mux(&self, options: &ServeOptions, reply: ReplySender) -> SessionMux {
-        self.counters.sessions.fetch_add(1, Ordering::Relaxed);
+        let submit = Arc::clone(self.submitter());
+        submit.counters.sessions.fetch_add(1, Ordering::Relaxed);
         SessionMux {
-            job_tx: self.sender().clone(),
-            subtasks: Arc::clone(&self.subtasks),
-            counters: Arc::clone(&self.counters),
-            flights: Arc::clone(&self.flights),
-            coalesce: self.coalesce_enabled(),
+            submit,
             reply,
             default_order: options.order,
             max_inflight: options.max_inflight,
             max_items: options.max_items,
             user_quota: options.user_quota.clone(),
-            local_threshold: self.config.local_threshold,
-            policy: Arc::clone(&self.config.policy),
             reorder_capacity: self.config.queue_capacity.max(1) * 4,
             seq: 0,
             ordered: 0,
@@ -582,9 +657,9 @@ impl Engine {
             inflight: HashMap::new(),
             next_ordered: 0,
             pending: BTreeMap::new(),
+            parked: None,
             requests: 0,
             errors: 0,
-            pool_closed: false,
         }
     }
 
@@ -592,63 +667,30 @@ impl Engine {
     /// `requests[i]`.  Submission shares the bounded queue with any concurrent
     /// sessions.
     pub fn run_batch(&self, requests: Vec<Request>) -> Vec<Response> {
-        let total = requests.len();
         let (reply_tx, reply_rx) = mpsc::channel::<StreamEvent>();
+        let mut out: Vec<Option<Response>> = Vec::new();
+        out.resize_with(requests.len(), || None);
         for (seq, request) in requests.into_iter().enumerate() {
-            // Sub-threshold one-shot queries run inline (see [`ExecRoute`]):
-            // answered on this thread through the embedded solver, no pool
-            // round-trip, no cache participation.
-            if exec_route(&request, false, self.config.local_threshold) == ExecRoute::Local {
-                let response = local_response(
-                    seq as u64,
-                    None,
-                    &request,
-                    None,
-                    self.config.policy.as_ref(),
-                );
-                let _ = reply_tx.send(StreamEvent::Done(response));
-                continue;
-            }
-            let payload = Payload::Query {
-                request,
-                solver: None,
-            };
-            let cancel = CancelToken::new();
-            // Single-flight: a request identical to one already executing
-            // (or queued) attaches to it as a follower instead of taking a
-            // pool slot — the flight delivers its terminal response.
-            let key = flight_key(&payload, self.coalesce_enabled());
-            if let Some(key) = &key {
-                let follower = Follower::new(
-                    seq as u64,
-                    None,
-                    false,
-                    cancel.clone(),
-                    None,
-                    ReplySender::plain(reply_tx.clone()),
-                    false,
-                );
-                if self.flights.try_join(key, follower) {
-                    continue;
-                }
-            }
             let job = PoolJob {
                 seq: seq as u64,
                 client_id: None,
-                payload,
+                payload: Payload::Query {
+                    request,
+                    solver: None,
+                },
                 stream: false,
-                cancel,
+                cancel: CancelToken::new(),
                 max_items: None,
                 reply: ReplySender::plain(reply_tx.clone()),
-                key,
+                key: None,
             };
-            self.counters.inflight.fetch_add(1, Ordering::Relaxed);
-            self.sender().send(job).expect("worker pool alive");
-            self.subtasks.notify_workers();
+            match self.submitter().submit(job, true) {
+                Submitted::Local(response) => out[seq] = Some(response),
+                Submitted::Joined | Submitted::Queued => {}
+                Submitted::Full(_) | Submitted::Closed => unreachable!("worker pool alive"),
+            }
         }
         drop(reply_tx);
-        let mut out: Vec<Option<Response>> = Vec::new();
-        out.resize_with(total, || None);
         for event in reply_rx {
             // One-shot jobs emit no chunk frames; only terminal responses
             // arrive here.
@@ -675,48 +717,32 @@ impl Engine {
     /// [`CancelToken`] stops the job cooperatively at its next yield
     /// boundary (the terminal response then carries the partial result,
     /// `halted:"cancelled"`); dropping the handle mid-stream cancels the
-    /// same way, the first time the job tries to yield.
+    /// same way, the first time the job tries to yield.  A duplicate of an
+    /// in-flight execution subscribes to its fan-out: already-produced chunks
+    /// replay first, then live ones, all under this handle's own cancel/quota.
     pub fn run_streaming(&self, request: Request, options: StreamRunOptions) -> StreamHandle {
         let (reply_tx, reply_rx) = mpsc::channel::<StreamEvent>();
         let cancel = CancelToken::new();
-        let payload = Payload::Query {
-            request,
-            solver: options.solver,
-        };
-        // Single-flight: a duplicate of an in-flight execution subscribes to
-        // its fan-out — already-produced chunks replay first, then live
-        // ones, all under this handle's own cancel/quota.
-        let key = flight_key(&payload, self.coalesce_enabled());
-        if let Some(key) = &key {
-            let follower = Follower::new(
-                0,
-                options.client_id.clone(),
-                true,
-                cancel.clone(),
-                options.max_items,
-                ReplySender::plain(reply_tx.clone()),
-                false,
-            );
-            if self.flights.try_join(key, follower) {
-                return StreamHandle {
-                    cancel,
-                    events: reply_rx,
-                };
-            }
-        }
         let job = PoolJob {
             seq: 0,
             client_id: options.client_id,
-            payload,
+            payload: Payload::Query {
+                request,
+                solver: options.solver,
+            },
             stream: true,
             cancel: cancel.clone(),
             max_items: options.max_items,
             reply: ReplySender::plain(reply_tx),
-            key,
+            key: None,
         };
-        self.counters.inflight.fetch_add(1, Ordering::Relaxed);
-        self.sender().send(job).expect("worker pool alive");
-        self.subtasks.notify_workers();
+        match self.submitter().submit(job, true) {
+            Submitted::Joined | Submitted::Queued => {}
+            // Streamed requests never take the local route.
+            Submitted::Local(_) | Submitted::Full(_) | Submitted::Closed => {
+                unreachable!("a streamed job reaches the live worker pool")
+            }
+        }
         StreamHandle {
             cancel,
             events: reply_rx,
@@ -739,7 +765,7 @@ impl Engine {
     ///
     /// With `order: input` (the default) responses are written in request
     /// order — a bounded reorder buffer holds responses that finish early,
-    /// and the reader pauses when that buffer fills, so one slow head-of-line
+    /// and reading pauses when that buffer fills, so one slow head-of-line
     /// request cannot make the buffer grow with the stream.  With
     /// `order: arrival` every response is written the moment it completes,
     /// possibly out of order; the `id` (and echoed `id=` correlation token)
@@ -751,362 +777,144 @@ impl Engine {
     ///
     /// Responses are written and flushed as soon as they are ready — a client
     /// that sends one request and waits for its answer gets it without
-    /// closing the input.  Errors reading the input or writing the output
-    /// abort the session (no further lines are read) and are returned;
-    /// responses already written stay valid.
+    /// closing the input.  An error writing the output cancels the session's
+    /// in-flight jobs and is returned; an error reading the input stops
+    /// reading, and is returned once every line read before it has been
+    /// answered.  Responses already written stay valid.
+    ///
+    /// This is a blocking driver over the same `SessionMux` state machine
+    /// the readiness loop runs for socket sessions: the calling thread owns
+    /// the session and `output`, a scoped reader thread hands it one line at
+    /// a time, and worker replies unpark it.
     pub fn serve_with<R: BufRead + Send, W: Write>(
         &self,
         input: R,
         output: &mut W,
         options: &ServeOptions,
     ) -> std::io::Result<ServeSummary> {
-        self.counters.sessions.fetch_add(1, Ordering::Relaxed);
-        let _session = SessionGuard(&self.counters);
-        let mut summary = ServeSummary::default();
-        let mut write_error: Option<std::io::Error> = None;
-        let read_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
-        // Session-local emission plan, filled by the feeder before each job is
-        // submitted: which responses join the ordered stream (and at which
-        // position) and which are emitted on arrival.
-        let emission: Mutex<HashMap<u64, Emission>> = Mutex::new(HashMap::new());
-        // The session's in-flight jobs: sequence number → cancellation token,
-        // registered at submission, removed when the terminal response is
-        // collected.  This is what a `cancel id=N` request resolves against,
-        // what `--max-inflight` admission counts, and what the abort path
-        // cancels wholesale so a disconnected session's queued jobs are
-        // dropped instead of running to completion for nobody.
-        let inflight: Mutex<HashMap<u64, CancelToken>> = Mutex::new(HashMap::new());
-        // Bound on completed-but-unemitted ordered responses: one slow
-        // head-of-line request must not let the reorder buffer grow with the
-        // stream.  The feeder pauses once this many responses are held.
-        let reorder_capacity = self.config.queue_capacity.max(1) * 4;
-        let held = AtomicUsize::new(0);
-        let abort = AtomicBool::new(false);
-        let (reply_tx, reply_rx) = mpsc::channel::<StreamEvent>();
+        let wake = Arc::new(DriverWake {
+            driver: thread::current(),
+            replied: AtomicBool::new(false),
+            line_ready: AtomicBool::new(false),
+        });
+        let notify = Arc::clone(&wake);
+        let (reply_tx, replies) = mpsc::channel::<StreamEvent>();
+        let reply =
+            ReplySender::notifying(reply_tx, Arc::new(move || notify.raise(&notify.replied)));
+        let mut mux = self.session_mux(options, reply);
+        // A rendezvous channel: the reader holds at most the next line while
+        // the driver feeds the current one.
+        let (line_tx, lines) = mpsc::sync_channel::<std::io::Result<String>>(0);
         thread::scope(|scope| {
-            // Feeder thread: parses lines into jobs and pushes them into the
-            // shared bounded queue (send blocks while all workers are busy and
-            // the queue is full), pausing while the reorder buffer is at
-            // capacity.  Control commands (`cancel`) and quota rejections are
-            // answered by the feeder itself, through the same reply channel,
-            // so their responses still follow the session's emission plan.
-            {
-                let emission = &emission;
-                let inflight = &inflight;
-                let read_error = &read_error;
-                let held = &held;
-                let abort = &abort;
-                let job_tx = self.sender().clone();
-                let subtasks = Arc::clone(&self.subtasks);
-                let counters = &self.counters;
-                let flights = Arc::clone(&self.flights);
-                let coalesce = self.coalesce_enabled();
-                let local_threshold = self.config.local_threshold;
-                let policy = Arc::clone(&self.config.policy);
-                let default_order = options.order;
-                let max_inflight = options.max_inflight;
-                let max_items = options.max_items;
-                let user_quota = options.user_quota.clone();
-                scope.spawn(move || {
-                    let mut seq: u64 = 0;
-                    let mut ordered: u64 = 0;
-                    let control_stats = || RequestStats {
-                        solver: "-".to_string(),
-                        ..RequestStats::default()
-                    };
-                    for line in input.lines() {
-                        if abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let line = match line {
-                            Ok(line) => line,
-                            Err(e) => {
-                                *lock_ignoring_poison(read_error) = Some(e);
-                                break;
-                            }
-                        };
-                        let trimmed = line.trim();
-                        if trimmed.is_empty() || trimmed.starts_with('#') {
-                            continue;
-                        }
-                        let (client_id, order, stream, auth, action) =
-                            match wire::parse_line(trimmed) {
-                                Ok(parsed) => {
-                                    let action = match parsed.command {
-                                        wire::Command::Query(request) => {
-                                            FeedAction::Submit(Payload::Query {
-                                                request,
-                                                solver: parsed.solver,
-                                            })
-                                        }
-                                        wire::Command::Stats => FeedAction::Submit(Payload::Stats),
-                                        wire::Command::Cancel { target } => {
-                                            FeedAction::Cancel(target)
-                                        }
-                                    };
-                                    (
-                                        parsed.id,
-                                        parsed.order.unwrap_or(default_order),
-                                        parsed.stream,
-                                        parsed.auth,
-                                        action,
-                                    )
-                                }
-                                Err(message) => (
-                                    wire::salvage_client_id(trimmed),
-                                    default_order,
-                                    false,
-                                    None,
-                                    FeedAction::Submit(Payload::Malformed(message)),
-                                ),
-                            };
-                        // Cancel requests are pure control: they are resolved
-                        // and answered immediately — always on arrival, ahead
-                        // of the reorder-buffer backpressure below, because a
-                        // cancel may be the very thing that unblocks a stuck
-                        // head-of-line request.  Immediate emission keeps a
-                        // flood of cancels bounded (each is written straight
-                        // out, never buffered).
-                        if let FeedAction::Cancel(target) = action {
-                            let cancelled = match lock_ignoring_poison(inflight).get(&target) {
-                                Some(token) => {
-                                    token.cancel();
-                                    true
-                                }
-                                None => false,
-                            };
-                            lock_ignoring_poison(emission).insert(seq, Emission::Immediate);
-                            let response = Response {
-                                id: seq,
-                                client_id,
-                                outcome: Ok(Outcome::Cancel { target, cancelled }),
-                                halted: None,
-                                chunks: stream.then_some(0),
-                                stats: control_stats(),
-                            };
-                            let _ = reply_tx.send(StreamEvent::Done(response));
-                            seq += 1;
-                            continue;
-                        }
-                        // Streamed requests always emit on arrival: holding an
-                        // unbounded number of chunks for in-order emission
-                        // would defeat both the latency and the memory point
-                        // of streaming (documented in WIRE.md).
-                        let plan = match order {
-                            OrderMode::Input if !stream => {
-                                let position = ordered;
-                                ordered += 1;
-                                Emission::Ordered(position)
-                            }
-                            _ => Emission::Immediate,
-                        };
-                        lock_ignoring_poison(emission).insert(seq, plan);
-                        // Backpressure before anything that can occupy the
-                        // reorder buffer — including quota rejections, which
-                        // would otherwise grow `pending` without bound behind
-                        // one slow head-of-line request.
-                        while held.load(Ordering::Relaxed) >= reorder_capacity
-                            && !abort.load(Ordering::Relaxed)
-                        {
-                            thread::sleep(Duration::from_millis(1));
-                        }
-                        if abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let FeedAction::Submit(payload) = action else {
-                            unreachable!("cancel handled above")
-                        };
-                        // Per-user fairness gates solver work at admission:
-                        // an authenticated query whose user is out of tokens
-                        // is answered with a `quota` error before it can
-                        // occupy a worker.  Control traffic (`stats`) and
-                        // malformed lines are never throttled.
-                        if let (Some(quota), Some(user), Payload::Query { .. }) =
-                            (user_quota.as_deref(), auth.as_deref(), &payload)
-                        {
-                            if !quota.admit(user) {
-                                counters.throttled.fetch_add(1, Ordering::Relaxed);
-                                let response = Response {
-                                    id: seq,
-                                    client_id,
-                                    outcome: Err(EngineError::quota(format!(
-                                        "user `{user}` exceeded the admission rate \
-                                         ({} req/s, burst {})",
-                                        quota.rate_per_sec(),
-                                        quota.burst()
-                                    ))),
-                                    halted: None,
-                                    chunks: stream.then_some(0),
-                                    stats: control_stats(),
-                                };
-                                let _ = reply_tx.send(StreamEvent::Done(response));
-                                seq += 1;
-                                continue;
-                            }
-                        }
-                        if let Some(limit) = max_inflight {
-                            if lock_ignoring_poison(inflight).len() >= limit {
-                                let response = Response {
-                                    id: seq,
-                                    client_id,
-                                    outcome: Err(EngineError::quota(format!(
-                                        "session in-flight quota exceeded \
-                                         ({limit} request(s) already running)"
-                                    ))),
-                                    halted: None,
-                                    chunks: stream.then_some(0),
-                                    stats: control_stats(),
-                                };
-                                let _ = reply_tx.send(StreamEvent::Done(response));
-                                seq += 1;
-                                continue;
-                            }
-                        }
-                        // Sub-threshold one-shot queries run inline on the
-                        // feeder thread (see [`ExecRoute`]), answered through
-                        // the same reply channel as quota rejections so the
-                        // session's emission plan still applies.
-                        if let Payload::Query { request, solver } = &payload {
-                            if exec_route(request, stream, local_threshold) == ExecRoute::Local {
-                                let response = local_response(
-                                    seq,
-                                    client_id,
-                                    request,
-                                    *solver,
-                                    policy.as_ref(),
-                                );
-                                let _ = reply_tx.send(StreamEvent::Done(response));
-                                seq += 1;
-                                continue;
-                            }
-                        }
-                        let cancel = CancelToken::new();
-                        // Single-flight: attach to an identical in-flight
-                        // query instead of submitting a duplicate job.  The
-                        // follower still registers as in flight for the
-                        // session (cancellable, counted by `--max-inflight`);
-                        // its terminal arrives via the same reply channel.
-                        let key = flight_key(&payload, coalesce);
-                        if let Some(key) = &key {
-                            let follower = Follower::new(
-                                seq,
-                                client_id.clone(),
-                                stream,
-                                cancel.clone(),
-                                max_items,
-                                ReplySender::plain(reply_tx.clone()),
-                                false,
-                            );
-                            if flights.try_join(key, follower) {
-                                lock_ignoring_poison(inflight).insert(seq, cancel);
-                                seq += 1;
-                                continue;
-                            }
-                        }
-                        lock_ignoring_poison(inflight).insert(seq, cancel.clone());
-                        let job = PoolJob {
-                            seq,
-                            client_id,
-                            payload,
-                            stream,
-                            cancel,
-                            max_items,
-                            reply: ReplySender::plain(reply_tx.clone()),
-                            key,
-                        };
-                        counters.inflight.fetch_add(1, Ordering::Relaxed);
-                        if job_tx.send(job).is_err() {
-                            counters.inflight.fetch_sub(1, Ordering::Relaxed);
-                            break;
-                        }
-                        subtasks.notify_workers();
-                        seq += 1;
-                    }
-                    // Dropping the feeder's `reply_tx` (moved in) lets the
-                    // collector loop end once all in-flight jobs answered.
-                    drop(reply_tx);
-                });
-            }
-            // Collector (this thread): drain chunk frames and terminal
-            // responses as they complete; chunks are written immediately,
-            // terminal responses follow the session's ordering plan.
-            let mut next_ordered: u64 = 0;
-            let mut pending: BTreeMap<u64, Response> = BTreeMap::new();
-            let mut aborted = false;
-            for event in reply_rx {
-                if aborted {
-                    continue; // drain in-flight work, discard
-                }
-                let response = match event {
-                    StreamEvent::Chunk(frame) => {
-                        let failed = writeln!(output, "{}", frame.to_json_line())
-                            .and_then(|()| output.flush())
-                            .err();
-                        if let Some(e) = failed {
-                            write_error = Some(e);
-                            aborted = true;
-                            abort.store(true, Ordering::Relaxed);
-                            cancel_all(&inflight);
-                        }
-                        continue;
-                    }
-                    StreamEvent::Done(response) => response,
-                };
-                lock_ignoring_poison(&inflight).remove(&response.id);
-                summary.requests += 1;
-                if !response.is_ok() {
-                    summary.errors += 1;
-                }
-                let plan = lock_ignoring_poison(&emission)
-                    .remove(&response.id)
-                    .unwrap_or(Emission::Immediate);
-                let mut ready: Vec<Response> = Vec::new();
-                match plan {
-                    Emission::Immediate => ready.push(response),
-                    Emission::Ordered(position) => {
-                        pending.insert(position, response);
-                        while let Some(next) = pending.remove(&next_ordered) {
-                            ready.push(next);
-                            next_ordered += 1;
-                        }
-                        held.store(pending.len(), Ordering::Relaxed);
-                    }
-                }
-                if ready.is_empty() {
-                    continue;
-                }
-                let mut failed = None;
-                for r in &ready {
-                    if let Err(e) = writeln!(output, "{}", r.to_json_line()) {
-                        failed = Some(e);
+            let wake = &*wake;
+            scope.spawn(move || {
+                let _hang_up = HangUp(wake);
+                // Declared after the guard, so it hangs up before the last
+                // raise: the driver then finds the channel closed at once.
+                let line_tx = line_tx;
+                for line in input.lines() {
+                    let failed = line.is_err();
+                    wake.raise(&wake.line_ready);
+                    // A driver that stopped draining has dropped `lines`.
+                    if line_tx.send(line).is_err() || failed {
                         break;
                     }
                 }
-                if failed.is_none() {
-                    if let Err(e) = output.flush() {
-                        failed = Some(e);
-                    }
-                }
-                if let Some(e) = failed {
-                    write_error = Some(e);
-                    aborted = true;
-                    abort.store(true, Ordering::Relaxed);
-                    // The session is gone: stop its queued jobs (workers
-                    // drop a cancelled job at its first yield boundary)
-                    // instead of computing results nobody will read.
-                    cancel_all(&inflight);
-                }
-            }
-        });
-        if let Some(e) = write_error {
-            return Err(e);
-        }
-        if let Some(e) = read_error.into_inner().unwrap_or_else(|p| p.into_inner()) {
-            return Err(e);
-        }
-        output.flush()?;
-        Ok(summary)
+            });
+            drive_session(&mut mux, &replies, lines, wake, output)
+        })
     }
+}
+
+/// How the driver of [`Engine::serve_with`] is woken.  Each event source
+/// raises its flag, then unparks the driver; the driver parks only while
+/// both flags are down, because a blocking `recv` on the line channel can
+/// swallow an unpark token (std channels park internally).
+struct DriverWake {
+    driver: thread::Thread,
+    /// A worker delivered a reply since the driver last drained them.
+    replied: AtomicBool,
+    /// The reader is about to hand over a line (so the driver's `recv` only
+    /// waits for that hand-over), or has hung up.
+    line_ready: AtomicBool,
+}
+
+impl DriverWake {
+    fn raise(&self, flag: &AtomicBool) {
+        flag.store(true, Ordering::SeqCst);
+        self.driver.unpark();
+    }
+}
+
+/// Raises the reader's flag once more when it ends, however it ends (EOF, a
+/// read error, a panicking reader), so the driver's `recv` sees the channel
+/// hang up.
+struct HangUp<'a>(&'a DriverWake);
+
+impl Drop for HangUp<'_> {
+    fn drop(&mut self) {
+        self.0.raise(&self.0.line_ready);
+    }
+}
+
+/// The blocking driver loop of [`Engine::serve_with`]: drain worker replies,
+/// retry a stalled line, feed the next line, write what is ready, then park
+/// until a reply or a line arrives — or, while stalled, at most
+/// [`STALL_RETRY`] (the queue may be freed by other sessions' jobs, which
+/// never wake this one).  `lines` is dropped on return, so the reader never
+/// stays blocked handing over a line nobody will take.
+fn drive_session<W: Write>(
+    mux: &mut SessionMux,
+    replies: &Receiver<StreamEvent>,
+    lines: Receiver<std::io::Result<String>>,
+    wake: &DriverWake,
+    output: &mut W,
+) -> std::io::Result<ServeSummary> {
+    let mut out = Vec::new();
+    let mut reading = true;
+    let mut read_error = None;
+    loop {
+        wake.replied.store(false, Ordering::SeqCst);
+        while let Ok(event) = replies.try_recv() {
+            mux.on_event(event, &mut out);
+        }
+        let mut state = mux.resume(&mut out);
+        while state == MuxFeed::Progress && reading && wake.line_ready.swap(false, Ordering::SeqCst)
+        {
+            match lines.recv() {
+                Ok(Ok(line)) => state = mux.feed_line(&line, &mut out),
+                Ok(Err(e)) => {
+                    read_error = Some(e);
+                    reading = false;
+                }
+                Err(_) => reading = false,
+            }
+        }
+        if !out.is_empty() {
+            if let Err(e) = output.write_all(&out).and_then(|()| output.flush()) {
+                // The consumer is gone: stop the session's queued jobs
+                // instead of computing results nobody will read.
+                mux.abort();
+                return Err(e);
+            }
+            out.clear();
+        }
+        let woken = wake.replied.load(Ordering::SeqCst)
+            || (state == MuxFeed::Progress && reading && wake.line_ready.load(Ordering::SeqCst));
+        match state {
+            MuxFeed::PoolClosed => break,
+            _ if !reading && mux.is_idle() => break,
+            _ if woken => {}
+            MuxFeed::Stalled => thread::park_timeout(STALL_RETRY),
+            MuxFeed::Progress => thread::park(),
+        }
+    }
+    if let Some(e) = read_error {
+        return Err(e);
+    }
+    output.flush()?;
+    let (requests, errors) = mux.tallies();
+    Ok(ServeSummary { requests, errors })
 }
 
 /// The canonical flight key of a query payload — the request's cache key
@@ -1128,278 +936,143 @@ fn flight_key(payload: &Payload, coalesce: bool) -> Option<String> {
     Some(key)
 }
 
-/// Cancels every in-flight job of an aborted session.
-fn cancel_all(inflight: &Mutex<HashMap<u64, CancelToken>>) {
-    for token in lock_ignoring_poison(inflight).values() {
-        token.cancel();
-    }
-}
+/// How long a driver waits before retrying a stalled line when no reply
+/// arrives to wake it sooner: the queue may be freed by other sessions'
+/// jobs, which never wake this one.
+pub(crate) const STALL_RETRY: Duration = Duration::from_millis(5);
 
-/// What [`SessionMux::feed_line`] did with one wire line.
+/// What [`SessionMux::feed_line`] or [`SessionMux::resume`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum MuxFeed {
-    /// The line was consumed: answered immediately, submitted to the pool,
-    /// or skipped (blank/comment).
+    /// The line was committed: answered, submitted, or skipped
+    /// (blank/comment).  The next line may be fed.
     Progress,
-    /// The line was **not** consumed: the session's reorder buffer or the
-    /// shared job queue is full.  Retry the same line once responses drain.
+    /// The line was taken but is parked: the session's reorder buffer or the
+    /// shared job queue is full.  Feed nothing more until
+    /// [`SessionMux::resume`] returns `Progress`; retry once replies drain.
     Stalled,
     /// The worker pool hung up (the engine is shutting down); the session
     /// cannot make progress and should be closed.
     PoolClosed,
 }
 
-/// The non-blocking equivalent of one [`Engine::serve_with`] session: the
-/// feeder and collector halves of the threaded loop folded into a state
-/// machine a readiness loop can drive from one thread.
+/// One wire session as a state machine: per-session sequence numbers, the
+/// cancel/quota control paths, the `order=input` reorder buffer with its
+/// bounded capacity, immediate emission for streams.
 ///
-/// The semantics mirror `serve_with` exactly — per-session sequence numbers,
-/// the cancel/quota control paths, the `order=input` reorder buffer with its
-/// bounded capacity, immediate emission for streams — so every wire test
-/// passes unchanged over either transport.  The differences are mechanical:
-/// lines arrive via [`SessionMux::feed_line`] instead of a blocking reader,
-/// worker events via [`SessionMux::on_event`] instead of a blocking `recv`,
-/// and rendered response bytes accumulate in a caller-owned buffer instead
-/// of going straight to a socket.
+/// Every session runs it.  The readiness loop drives one per socket
+/// connection from a single thread; [`Engine::serve_with`] drives one from a
+/// blocking reader (pipe sessions and the non-epoll socket fallback).
+/// Lines arrive via [`SessionMux::feed_line`], worker events via
+/// [`SessionMux::on_event`], and rendered response bytes accumulate in a
+/// caller-owned buffer.
 pub(crate) struct SessionMux {
-    job_tx: SyncSender<PoolJob>,
-    /// Pokes parked workers after each accepted job.
-    subtasks: Arc<SubtaskQueue>,
-    counters: Arc<EngineCounters>,
-    /// The engine's single-flight registry (duplicate queries attach to
-    /// in-flight executions instead of becoming pool jobs).
-    flights: Arc<FlightTable>,
-    /// Whether this session renders flight keys and attempts joins.
-    coalesce: bool,
+    submit: Arc<Submitter>,
     /// Template reply channel cloned into every job (already wired to the
-    /// readiness loop's waker).
+    /// driver's waker).
     reply: ReplySender,
     default_order: OrderMode,
     max_inflight: Option<usize>,
     max_items: Option<u64>,
     user_quota: Option<Arc<UserBuckets>>,
-    /// [`EngineConfig::local_threshold`]: sub-threshold one-shot queries are
-    /// answered inline by `feed_line` instead of becoming pool jobs.
-    local_threshold: usize,
-    /// The engine's routing policy, for those inline answers.
-    policy: Arc<dyn SolverPolicy>,
     reorder_capacity: usize,
     seq: u64,
     ordered: u64,
     emission: HashMap<u64, Emission>,
+    /// The session's in-flight jobs: sequence number → cancellation token.
+    /// What a `cancel id=N` resolves against, what `--max-inflight` counts,
+    /// and what [`SessionMux::abort`] cancels wholesale.
     inflight: HashMap<u64, CancelToken>,
     next_ordered: u64,
     pending: BTreeMap<u64, Response>,
+    /// The line taken by a [`MuxFeed::Stalled`] feed, until it commits.
+    parked: Option<Parked>,
     requests: u64,
     errors: u64,
-    pool_closed: bool,
+}
+
+/// A submittable wire line, parsed.
+struct Line {
+    client_id: Option<String>,
+    order: OrderMode,
+    stream: bool,
+    auth: Option<String>,
+    payload: Payload,
+}
+
+/// A stalled line, kept until it can commit.
+enum Parked {
+    /// Waiting for room in the reorder buffer: nothing sequenced or charged.
+    Line(Line),
+    /// Sequenced, admitted (its `auth=` user charged once) and registered in
+    /// flight: waiting for room in the job queue.
+    Job(PoolJob),
 }
 
 impl Drop for SessionMux {
     fn drop(&mut self) {
-        self.counters.sessions.fetch_sub(1, Ordering::Relaxed);
+        self.submit
+            .counters
+            .sessions
+            .fetch_sub(1, Ordering::Relaxed);
     }
 }
 
 impl SessionMux {
     /// Feeds one wire line (already split, not yet trimmed).  Rendered
-    /// responses — control answers, quota rejections — are appended to `out`.
-    /// [`MuxFeed::Stalled`] means the line was not consumed and must be
-    /// re-fed after [`SessionMux::on_event`] has drained some state.
+    /// responses — control answers, quota rejections, local answers — are
+    /// appended to `out`.  The line is always taken; on
+    /// [`MuxFeed::Stalled`] it is parked until [`SessionMux::resume`]
+    /// commits it.
     pub(crate) fn feed_line(&mut self, line: &str, out: &mut Vec<u8>) -> MuxFeed {
-        if self.pool_closed {
-            return MuxFeed::PoolClosed;
-        }
+        debug_assert!(self.parked.is_none(), "a parked line must commit first");
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             return MuxFeed::Progress;
         }
-        let control_stats = || RequestStats {
-            solver: "-".to_string(),
-            ..RequestStats::default()
-        };
-        let (client_id, order, stream, auth, action) = match wire::parse_line(trimmed) {
+        let line = match wire::parse_line(trimmed) {
             Ok(parsed) => {
-                let action = match parsed.command {
-                    wire::Command::Query(request) => FeedAction::Submit(Payload::Query {
+                let payload = match parsed.command {
+                    wire::Command::Query(request) => Payload::Query {
                         request,
                         solver: parsed.solver,
-                    }),
-                    wire::Command::Stats => FeedAction::Submit(Payload::Stats),
-                    wire::Command::Cancel { target } => FeedAction::Cancel(target),
-                };
-                (
-                    parsed.id,
-                    parsed.order.unwrap_or(self.default_order),
-                    parsed.stream,
-                    parsed.auth,
-                    action,
-                )
-            }
-            Err(message) => (
-                wire::salvage_client_id(trimmed),
-                self.default_order,
-                false,
-                None,
-                FeedAction::Submit(Payload::Malformed(message)),
-            ),
-        };
-        // Cancels resolve ahead of the reorder backpressure, exactly as in
-        // the threaded feeder: a cancel may be what unblocks a stuck
-        // head-of-line request.
-        if let FeedAction::Cancel(target) = action {
-            let cancelled = match self.inflight.get(&target) {
-                Some(token) => {
-                    token.cancel();
-                    true
-                }
-                None => false,
-            };
-            let seq = self.next_seq();
-            self.emission.insert(seq, Emission::Immediate);
-            self.finish(
-                Response {
-                    id: seq,
-                    client_id,
-                    outcome: Ok(Outcome::Cancel { target, cancelled }),
-                    halted: None,
-                    chunks: stream.then_some(0),
-                    stats: control_stats(),
-                },
-                out,
-            );
-            return MuxFeed::Progress;
-        }
-        // The threaded feeder sleeps here while the reorder buffer is at
-        // capacity; the non-blocking equivalent is to leave the line
-        // unconsumed and let the loop retry after responses drain.
-        if self.pending.len() >= self.reorder_capacity {
-            return MuxFeed::Stalled;
-        }
-        let FeedAction::Submit(payload) = action else {
-            unreachable!("cancel handled above")
-        };
-        let plan = match order {
-            OrderMode::Input if !stream => {
-                let position = self.ordered;
-                Emission::Ordered(position)
-            }
-            _ => Emission::Immediate,
-        };
-        let throttled = match (&self.user_quota, auth.as_deref(), &payload) {
-            (Some(quota), Some(user), Payload::Query { .. }) if !quota.admit(user) => {
-                Some(format!(
-                    "user `{user}` exceeded the admission rate ({} req/s, burst {})",
-                    quota.rate_per_sec(),
-                    quota.burst()
-                ))
-            }
-            _ => None,
-        };
-        if let Some(message) = throttled {
-            self.counters.throttled.fetch_add(1, Ordering::Relaxed);
-            let seq = self.next_seq();
-            self.commit_plan(seq, plan);
-            self.finish(
-                Response {
-                    id: seq,
-                    client_id,
-                    outcome: Err(EngineError::quota(message)),
-                    halted: None,
-                    chunks: stream.then_some(0),
-                    stats: control_stats(),
-                },
-                out,
-            );
-            return MuxFeed::Progress;
-        }
-        if let Some(limit) = self.max_inflight {
-            if self.inflight.len() >= limit {
-                let seq = self.next_seq();
-                self.commit_plan(seq, plan);
-                self.finish(
-                    Response {
-                        id: seq,
-                        client_id,
-                        outcome: Err(EngineError::quota(format!(
-                            "session in-flight quota exceeded \
-                             ({limit} request(s) already running)"
-                        ))),
-                        halted: None,
-                        chunks: stream.then_some(0),
-                        stats: control_stats(),
                     },
-                    out,
-                );
-                return MuxFeed::Progress;
+                    wire::Command::Stats => Payload::Stats,
+                    wire::Command::Cancel { target } => {
+                        self.cancel(target, parsed.id, parsed.stream, out);
+                        return MuxFeed::Progress;
+                    }
+                };
+                Line {
+                    client_id: parsed.id,
+                    order: parsed.order.unwrap_or(self.default_order),
+                    stream: parsed.stream,
+                    auth: parsed.auth,
+                    payload,
+                }
             }
-        }
-        // Sub-threshold one-shot queries are answered inline (see
-        // [`ExecRoute`]) — no pool job, no in-flight registration; the
-        // response follows the session's emission plan like any other.
-        if let Payload::Query { request, solver } = &payload {
-            if exec_route(request, stream, self.local_threshold) == ExecRoute::Local {
-                let response =
-                    local_response(self.seq, client_id, request, *solver, self.policy.as_ref());
-                let seq = self.next_seq();
-                self.commit_plan(seq, plan);
-                self.finish(response, out);
-                return MuxFeed::Progress;
-            }
-        }
-        let cancel = CancelToken::new();
-        // Single-flight, mirroring the threaded feeder: a duplicate of an
-        // in-flight query attaches as a follower — no pool job, no queue
-        // capacity consumed (so it cannot stall), terminal via `on_event`.
-        let key = flight_key(&payload, self.coalesce);
-        if let Some(k) = &key {
-            let follower = Follower::new(
-                self.seq,
-                client_id.clone(),
-                stream,
-                cancel.clone(),
-                self.max_items,
-                self.reply.clone(),
-                false,
-            );
-            if self.flights.try_join(k, follower) {
-                let seq = self.next_seq();
-                self.commit_plan(seq, plan);
-                self.inflight.insert(seq, cancel);
-                return MuxFeed::Progress;
-            }
-        }
-        let job = PoolJob {
-            seq: self.seq,
-            client_id,
-            payload,
-            stream,
-            cancel: cancel.clone(),
-            max_items: self.max_items,
-            reply: self.reply.clone(),
-            key,
+            Err(message) => Line {
+                client_id: wire::salvage_client_id(trimmed),
+                order: self.default_order,
+                stream: false,
+                auth: None,
+                payload: Payload::Malformed(message),
+            },
         };
-        match self.job_tx.try_send(job) {
-            Ok(()) => {
-                self.subtasks.notify_workers();
-                self.counters.inflight.fetch_add(1, Ordering::Relaxed);
-                let seq = self.next_seq();
-                self.commit_plan(seq, plan);
-                self.inflight.insert(seq, cancel);
-                MuxFeed::Progress
-            }
-            // Queue full is the readiness-loop form of the feeder blocking on
-            // `send`: nothing was committed, so the same line retries intact.
-            Err(mpsc::TrySendError::Full(_)) => MuxFeed::Stalled,
-            Err(mpsc::TrySendError::Disconnected(_)) => {
-                self.pool_closed = true;
-                MuxFeed::PoolClosed
-            }
+        self.admit(line, out)
+    }
+
+    /// Retries the parked line, if any: `Progress` once it has committed
+    /// (or when nothing is parked).
+    pub(crate) fn resume(&mut self, out: &mut Vec<u8>) -> MuxFeed {
+        match self.parked.take() {
+            None => MuxFeed::Progress,
+            Some(Parked::Line(line)) => self.admit(line, out),
+            Some(Parked::Job(job)) => self.enqueue(job, out),
         }
     }
 
-    /// Applies one worker event, appending any rendered output to `out` —
-    /// the collector half of the threaded loop.
+    /// Applies one worker event, appending any rendered output to `out`.
     pub(crate) fn on_event(&mut self, event: StreamEvent, out: &mut Vec<u8>) {
         match event {
             StreamEvent::Chunk(frame) => {
@@ -1420,15 +1093,139 @@ impl SessionMux {
         }
     }
 
-    /// Whether every submitted request has been answered and emitted.
+    /// Whether a line is parked (see [`MuxFeed::Stalled`]).
+    pub(crate) fn is_stalled(&self) -> bool {
+        self.parked.is_some()
+    }
+
+    /// Whether every line taken has been answered and emitted.
     pub(crate) fn is_idle(&self) -> bool {
-        self.inflight.is_empty() && self.pending.is_empty()
+        self.parked.is_none() && self.inflight.is_empty() && self.pending.is_empty()
     }
 
     /// (requests answered, error responses) so far — the session's
-    /// contribution to a [`crate::transport::TransportSummary`].
+    /// contribution to a [`ServeSummary`] or
+    /// [`crate::transport::TransportSummary`].
     pub(crate) fn tallies(&self) -> (u64, u64) {
         (self.requests, self.errors)
+    }
+
+    /// Answers a `cancel id=N` at once: it never queues, and it resolves
+    /// ahead of the reorder backpressure, because a cancel may be what
+    /// unblocks a stuck head-of-line request.
+    fn cancel(&mut self, target: u64, client_id: Option<String>, stream: bool, out: &mut Vec<u8>) {
+        let cancelled = match self.inflight.get(&target) {
+            Some(token) => {
+                token.cancel();
+                true
+            }
+            None => false,
+        };
+        let seq = self.next_seq();
+        self.finish(
+            Response {
+                id: seq,
+                client_id,
+                outcome: Ok(Outcome::Cancel { target, cancelled }),
+                halted: None,
+                chunks: stream.then_some(0),
+                stats: control_stats(),
+            },
+            out,
+        );
+    }
+
+    /// Commits one parsed line: sequence number and emission plan, then
+    /// admission (user bucket, session quota), then submission.  Parks the
+    /// line, uncharged, while the reorder buffer is full — anything
+    /// committed here may occupy that buffer, quota rejections included.
+    fn admit(&mut self, line: Line, out: &mut Vec<u8>) -> MuxFeed {
+        if self.pending.len() >= self.reorder_capacity {
+            self.parked = Some(Parked::Line(line));
+            return MuxFeed::Stalled;
+        }
+        let seq = self.next_seq();
+        // Streamed requests always emit on arrival: holding an unbounded
+        // number of chunks for in-order emission would defeat both the
+        // latency and the memory point of streaming (documented in WIRE.md).
+        let plan = match line.order {
+            OrderMode::Input if !line.stream => {
+                self.ordered += 1;
+                Emission::Ordered(self.ordered - 1)
+            }
+            _ => Emission::Immediate,
+        };
+        self.emission.insert(seq, plan);
+        if let Some(message) = self.refusal(&line) {
+            self.finish(
+                Response {
+                    id: seq,
+                    client_id: line.client_id,
+                    outcome: Err(EngineError::quota(message)),
+                    halted: None,
+                    chunks: line.stream.then_some(0),
+                    stats: control_stats(),
+                },
+                out,
+            );
+            return MuxFeed::Progress;
+        }
+        let cancel = CancelToken::new();
+        self.inflight.insert(seq, cancel.clone());
+        let job = PoolJob {
+            seq,
+            client_id: line.client_id,
+            payload: line.payload,
+            stream: line.stream,
+            cancel,
+            max_items: self.max_items,
+            reply: self.reply.clone(),
+            key: None,
+        };
+        self.enqueue(job, out)
+    }
+
+    /// Why an admitted line is answered with a `quota` error instead of
+    /// running, if it is.  Per-user fairness gates solver work only: control
+    /// traffic (`stats`) and malformed lines are never throttled.
+    fn refusal(&self, line: &Line) -> Option<String> {
+        if let (Some(quota), Some(user), Payload::Query { .. }) =
+            (&self.user_quota, line.auth.as_deref(), &line.payload)
+        {
+            if !quota.admit(user) {
+                self.submit
+                    .counters
+                    .throttled
+                    .fetch_add(1, Ordering::Relaxed);
+                return Some(format!(
+                    "user `{user}` exceeded the admission rate ({} req/s, burst {})",
+                    quota.rate_per_sec(),
+                    quota.burst()
+                ));
+            }
+        }
+        match self.max_inflight {
+            Some(limit) if self.inflight.len() >= limit => Some(format!(
+                "session in-flight quota exceeded ({limit} request(s) already running)"
+            )),
+            _ => None,
+        }
+    }
+
+    /// Submits a committed job without blocking; a full queue parks it.
+    fn enqueue(&mut self, job: PoolJob, out: &mut Vec<u8>) -> MuxFeed {
+        match self.submit.submit(job, false) {
+            Submitted::Local(response) => {
+                self.on_event(StreamEvent::Done(response), out);
+                MuxFeed::Progress
+            }
+            Submitted::Joined | Submitted::Queued => MuxFeed::Progress,
+            Submitted::Full(job) => {
+                self.parked = Some(Parked::Job(job));
+                MuxFeed::Stalled
+            }
+            Submitted::Closed => MuxFeed::PoolClosed,
+        }
     }
 
     /// Consumes the next session sequence number.
@@ -1436,15 +1233,6 @@ impl SessionMux {
         let seq = self.seq;
         self.seq += 1;
         seq
-    }
-
-    /// Registers `seq`'s emission plan, consuming an ordered position if the
-    /// plan is ordered.
-    fn commit_plan(&mut self, seq: u64, plan: Emission) {
-        if let Emission::Ordered(_) = plan {
-            self.ordered += 1;
-        }
-        self.emission.insert(seq, plan);
     }
 
     /// Routes one terminal response through the session's emission plan,
@@ -1471,24 +1259,24 @@ impl SessionMux {
     }
 }
 
+/// The telemetry of a response the session answers itself.
+fn control_stats() -> RequestStats {
+    RequestStats {
+        solver: "-".to_string(),
+        ..RequestStats::default()
+    }
+}
+
 /// Appends one response as a JSON line to a session output buffer.
 fn render_response(response: &Response, out: &mut Vec<u8>) {
     out.extend_from_slice(response.to_json_line().as_bytes());
     out.push(b'\n');
 }
 
-/// What the feeder does with one parsed line.
-enum FeedAction {
-    /// Submit a job to the worker pool.
-    Submit(Payload),
-    /// Resolve a `cancel id=N` against the session's in-flight registry.
-    Cancel(u64),
-}
-
 impl Drop for Engine {
     fn drop(&mut self) {
         // Hang up the job queue; workers exit once it drains.
-        self.job_tx.take();
+        self.submit.take();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
@@ -1789,8 +1577,8 @@ fn process_one(
 ) -> Option<Response> {
     let started = Instant::now();
     // A `solver=` override changes which solver's telemetry the caller sees,
-    // so overridden requests get their own cache entries.  Submission sites
-    // pre-render the key when coalescing applies; rendered or not, it is the
+    // so overridden requests get their own cache entries.  Submission
+    // pre-renders the key when coalescing applies; rendered or not, it is the
     // same canonical string.
     let key = job.key.clone().or_else(|| {
         ctx.cache_enabled.then(|| {
@@ -1829,15 +1617,16 @@ fn process_one(
         return answer_from_cache(hit);
     }
     // Post-miss single-flight gate: duplicates that raced past the
-    // submission-site join (or were submitted before the leader was) attach
+    // join at submission (or were submitted before the leader was) attach
     // here instead of executing, and a duplicate whose flight settled after
     // the miss above is answered from the entry that flight just cached.
     let lease = match (&key, ctx.coalesce) {
         (Some(key), true) => {
             match ctx
                 .flights
-                .lead_or_join(key, request.kind(), &ctx.cache, || Follower::from_job(job))
-            {
+                .lead_or_join(key, request.kind(), &ctx.cache, || {
+                    Follower::from_job(job, true)
+                }) {
                 LeadOutcome::Lead(lease) => Some(lease),
                 LeadOutcome::Joined => return None,
                 LeadOutcome::Cached(hit) => return answer_from_cache(hit),
@@ -2136,6 +1925,30 @@ check 0,1;2,3 0,2;0,3;1,2
         assert!(lines[1].contains(r#""dual":false"#), "{}", lines[1]);
         // Inline answers never touch the cache.
         assert_eq!(eng.cache_stats().entries, 0);
+    }
+
+    #[test]
+    fn back_to_back_sessions_never_lose_a_wakeup() {
+        // A driver parks between events, and its blocking line hand-over
+        // can swallow the thread's unpark token; a thousand short sessions
+        // in a row must each still see their reply and finish.  (Trusting
+        // the token alone hung within a thousand.)
+        let (done_tx, done_rx) = mpsc::channel();
+        let runner = thread::spawn(move || {
+            for _ in 0..1000 {
+                let eng = engine(2, true);
+                let mut out = Vec::new();
+                eng.serve("stats\n".as_bytes(), &mut out).unwrap();
+                assert!(String::from_utf8(out)
+                    .unwrap()
+                    .contains("\"kind\":\"stats\""));
+            }
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a serve session hung");
+        runner.join().unwrap();
     }
 
     #[test]

@@ -26,14 +26,14 @@
 //! while the flight runs on for the followers — and a naturally completed
 //! flight is cached even if the original leader gave up along the way.
 //!
-//! Joins happen at two levels: the submission sites (`run_batch`, the
-//! threaded feeder, `SessionMux::feed_line`, `run_streaming`) attach before
-//! a duplicate ever occupies a pool slot, and the worker itself re-checks
-//! after its cache miss (`lead_or_join`) so duplicates that raced past the
-//! submission check still coalesce — or, if their flight settled in the
-//! meantime, are answered from its fresh cache entry.  `qld front` adds a
-//! third, router-level tier for one-shot duplicates across client sessions
-//! (see `crates/front/src/coalesce.rs`).
+//! Joins happen at two levels: submission (`Submitter::submit`, the one
+//! path behind `run_batch`, `run_streaming` and every serve session)
+//! attaches before a duplicate ever occupies a pool slot, and the worker
+//! itself re-checks after its cache miss (`lead_or_join`) so duplicates that
+//! raced past the submission check still coalesce — or, if their flight
+//! settled in the meantime, are answered from its fresh cache entry.
+//! `qld front` adds a third, router-level tier for one-shot duplicates
+//! across client sessions (see `crates/front/src/coalesce.rs`).
 
 use crate::cache::{CachedResult, QueryCache};
 use crate::engine::{EngineCounters, PoolJob, ReplySender};
@@ -286,8 +286,7 @@ pub(crate) struct Follower {
     max_items: Option<u64>,
     reply: ReplySender,
     /// Whether the job was counted on the pool's in-flight gauge (a
-    /// worker-level join); the flight decrements it at delivery.  Joins at
-    /// the submission sites never touch the gauge.
+    /// worker-level join); the flight decrements it at delivery.
     pool_admitted: bool,
     /// Buffer entries consumed so far.
     pos: usize,
@@ -302,22 +301,17 @@ pub(crate) struct Follower {
 }
 
 impl Follower {
-    pub(crate) fn new(
-        seq: u64,
-        client_id: Option<String>,
-        stream: bool,
-        cancel: CancelToken,
-        max_items: Option<u64>,
-        reply: ReplySender,
-        pool_admitted: bool,
-    ) -> Follower {
+    /// A follower standing in for `job`.  `pool_admitted` says whether the
+    /// job was counted on the in-flight gauge (a worker-level join after
+    /// dequeue); joins at submission never touch the gauge.
+    pub(crate) fn from_job(job: &PoolJob, pool_admitted: bool) -> Follower {
         Follower {
-            seq,
-            client_id,
-            stream,
-            cancel,
-            max_items,
-            reply,
+            seq: job.seq,
+            client_id: job.client_id.clone(),
+            stream: job.stream,
+            cancel: job.cancel.clone(),
+            max_items: job.max_items,
+            reply: job.reply.clone(),
             pool_admitted,
             pos: 0,
             emitted: 0,
@@ -325,20 +319,6 @@ impl Follower {
             receiver_gone: false,
             halt: None,
         }
-    }
-
-    /// A follower job built from the pool job it replaces (worker-level
-    /// joins; the gauge was already incremented at submission).
-    pub(crate) fn from_job(job: &PoolJob) -> Follower {
-        Follower::new(
-            job.seq,
-            job.client_id.clone(),
-            job.stream,
-            job.cancel.clone(),
-            job.max_items,
-            job.reply.clone(),
-            true,
-        )
     }
 
     /// The reason this follower can consume no further, if any — the same

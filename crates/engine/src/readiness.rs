@@ -13,9 +13,9 @@
 //! Backpressure is explicit at every boundary:
 //!
 //! * **input** — a session whose job submission would block (shared queue
-//!   full) or whose reorder buffer is at capacity stops consuming buffered
-//!   lines and drops its read interest; level-triggered epoll re-reports the
-//!   socket once the session retries.
+//!   full) or whose reorder buffer is at capacity parks the line, stops
+//!   consuming buffered lines and drops its read interest; level-triggered
+//!   epoll re-reports the socket once the parked line commits.
 //! * **output** — response and chunk bytes accumulate in a per-session write
 //!   buffer that drains opportunistically (one `write` syscall flushes every
 //!   frame that is ready: chunk coalescing under slow consumers).  A session
@@ -25,10 +25,11 @@
 //!   indistinguishable from one that is gone.
 //!
 //! On platforms without epoll (`Epoll::new()` returns `Unsupported`) the
-//! transports fall back to the thread-per-session loop, so the portable
-//! behaviour is unchanged.
+//! transports fall back to the thread-per-session loop, where
+//! [`Engine::serve_with`] drives the same `SessionMux` from a blocking
+//! reader, so the portable behaviour is unchanged.
 
-use crate::engine::{Engine, MuxFeed, ReplySender, ServeOptions, SessionMux};
+use crate::engine::{Engine, MuxFeed, ReplySender, ServeOptions, SessionMux, STALL_RETRY};
 use crate::lock_ignoring_poison;
 use crate::stream::StreamEvent;
 use crate::transport::TransportSummary;
@@ -61,10 +62,6 @@ const READ_BURST: usize = 256 * 1024;
 /// Give up after this many consecutive accept failures (mirrors the
 /// thread-per-session loop's limit).
 const MAX_CONSECUTIVE_ACCEPT_ERRORS: u32 = 100;
-
-/// How long to sleep in the epoll wait while any session is stalled on the
-/// shared job queue or its reorder buffer, so retries happen promptly.
-const STALL_RETRY_MS: i32 = 5;
 
 /// A listener the readiness loop can accept from without blocking.
 pub(crate) trait ReadyListener: AsRawFd {
@@ -158,8 +155,6 @@ struct Conn<S> {
     out_pos: usize,
     /// The interest set currently registered with epoll.
     interest: Interest,
-    /// A buffered line could not be fed (job queue or reorder buffer full).
-    stalled: bool,
     /// No more input will be read (EOF, peer hangup, or server drain).
     read_closed: bool,
     /// The connection is broken: in-flight jobs cancelled, close ASAP.
@@ -182,7 +177,7 @@ impl<S: ReadyStream> Conn<S> {
         while let Ok(event) = self.replies.try_recv() {
             self.mux.on_event(event, &mut self.out);
         }
-        if can_read && !self.read_closed && !self.failed && !self.stalled {
+        if can_read && !self.read_closed && !self.failed && !self.mux.is_stalled() {
             self.fill_read_buf();
         }
         self.process_lines();
@@ -195,7 +190,7 @@ impl<S: ReadyStream> Conn<S> {
         if self.failed {
             return Verdict::Close;
         }
-        if self.read_closed && !self.stalled && self.mux.is_idle() && self.unsent() == 0 {
+        if self.read_closed && self.mux.is_idle() && self.unsent() == 0 {
             let _ = self.stream.shutdown_side(Shutdown::Write);
             return Verdict::Close;
         }
@@ -229,15 +224,18 @@ impl<S: ReadyStream> Conn<S> {
         }
     }
 
-    /// Feeds every complete buffered line to the session state machine,
-    /// stopping (without consuming) at a stall.
+    /// Retries the session's parked line, then feeds complete buffered lines
+    /// to the session state machine until one stalls.
     fn process_lines(&mut self) {
         if self.failed {
             return;
         }
-        self.stalled = false;
+        let mut state = self.mux.resume(&mut self.out);
         let mut start = 0usize;
-        while let Some(offset) = self.read_buf[start..].iter().position(|&b| b == b'\n') {
+        while state == MuxFeed::Progress {
+            let Some(offset) = self.read_buf[start..].iter().position(|&b| b == b'\n') else {
+                break;
+            };
             let end = start + offset;
             let mut line = &self.read_buf[start..end];
             if line.last() == Some(&b'\r') {
@@ -249,17 +247,11 @@ impl<S: ReadyStream> Conn<S> {
                 self.fail();
                 break;
             };
-            match self.mux.feed_line(text, &mut self.out) {
-                MuxFeed::Progress => start = end + 1,
-                MuxFeed::Stalled => {
-                    self.stalled = true;
-                    break;
-                }
-                MuxFeed::PoolClosed => {
-                    self.fail();
-                    break;
-                }
-            }
+            state = self.mux.feed_line(text, &mut self.out);
+            start = end + 1;
+        }
+        if state == MuxFeed::PoolClosed {
+            self.fail();
         }
         if start > 0 {
             self.read_buf.drain(..start);
@@ -306,7 +298,7 @@ impl<S: ReadyStream> Conn<S> {
     /// session can consume it, output only while bytes are waiting.
     fn wanted_interest(&self) -> Interest {
         Interest {
-            readable: !self.read_closed && !self.stalled && !self.failed,
+            readable: !self.read_closed && !self.mux.is_stalled() && !self.failed,
             writable: self.unsent() > 0,
         }
     }
@@ -362,8 +354,12 @@ pub(crate) fn serve_ready<L: ReadyListener>(
             break;
         }
 
-        let any_stalled = sessions.values().any(|c| c.stalled);
-        let timeout_ms = if any_stalled { STALL_RETRY_MS } else { -1 };
+        let any_stalled = sessions.values().any(|c| c.mux.is_stalled());
+        let timeout_ms = if any_stalled {
+            STALL_RETRY.as_millis() as i32
+        } else {
+            -1
+        };
         epoll.wait(&mut events, timeout_ms)?;
 
         // Which sessions need service this tick, and whether their socket
@@ -390,7 +386,7 @@ pub(crate) fn serve_ready<L: ReadyListener>(
             touched.entry(token).or_insert(false);
         }
         for (token, conn) in sessions.iter() {
-            if conn.stalled {
+            if conn.mux.is_stalled() {
                 touched.entry(*token).or_insert(false);
             }
         }
@@ -511,7 +507,6 @@ fn accept_burst<L: ReadyListener>(
                 out: Vec::new(),
                 out_pos: 0,
                 interest: Interest::READ,
-                stalled: false,
                 read_closed: false,
                 failed: false,
                 write_cap,

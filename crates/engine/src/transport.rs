@@ -20,9 +20,11 @@
 //! sessions are non-blocking state machines, so thousands of idle
 //! connections cost no threads and a slow reader never pins a worker behind
 //! a blocking write.  Where epoll is unavailable the same calls fall back to
-//! the original thread-per-session accept loop ([`run_session_loop`]), which
-//! also remains the engine-independent path behind `run_with` for front ends
-//! like the fleet router.
+//! the thread-per-session accept loop ([`run_session_loop`]), where each
+//! connection's [`Engine::serve_with`] drives the same session state
+//! machine from a blocking reader.  That loop also remains the
+//! engine-independent path behind `run_with` for front ends like the fleet
+//! router.
 
 use crate::engine::{Engine, ServeOptions, ServeSummary};
 use crate::lock_ignoring_poison;

@@ -130,7 +130,7 @@ impl Router {
                 break;
             }
             let trimmed = line.trim();
-            // Same skip rule as the engine's feeder: the client-visible
+            // Same skip rule as the engine's sessions: the client-visible
             // sequence numbering must be byte-identical through the router.
             if trimmed.is_empty() || trimmed.starts_with('#') {
                 continue;
@@ -192,7 +192,7 @@ struct Upstream {
 
 struct UpstreamWriter {
     stream: UnixStream,
-    /// Next sequence number the shard's feeder will assign: one per
+    /// Next sequence number the shard's session will assign: one per
     /// forwarded line, mirroring the engine's numbering exactly.
     seq: u64,
     broken: bool,

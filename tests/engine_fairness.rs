@@ -192,3 +192,100 @@ fn auth_without_a_configured_quota_is_a_no_op() {
     assert_eq!(summary.requests, 10);
     assert_eq!(summary.errors, 0);
 }
+
+/// A policy that sleeps before solving instances of at least
+/// `volume_threshold`, so a few such checks keep one worker and a
+/// one-slot queue full for a known stretch.
+struct SleepOnBig {
+    volume_threshold: usize,
+    delay: std::time::Duration,
+}
+
+impl qld_engine::SolverPolicy for SleepOnBig {
+    fn choose(
+        &self,
+        g: &qld_hypergraph::Hypergraph,
+        h: &qld_hypergraph::Hypergraph,
+    ) -> qld_engine::SolverKind {
+        if g.volume() + h.volume() >= self.volume_threshold {
+            std::thread::sleep(self.delay);
+        }
+        qld_engine::SolverKind::BmTree
+    }
+
+    fn name(&self) -> &'static str {
+        "sleep-on-big"
+    }
+}
+
+/// One worker, a one-slot queue, no cache (so identical slow checks neither
+/// hit nor coalesce), and alice limited to a burst of 2 with no refill.
+fn stalling_engine_and_options() -> (Engine, ServeOptions) {
+    let engine = Engine::new(EngineConfig {
+        workers: 1,
+        queue_capacity: 1,
+        cache: false,
+        policy: Arc::new(SleepOnBig {
+            volume_threshold: 8,
+            delay: std::time::Duration::from_millis(60),
+        }),
+        ..EngineConfig::default()
+    });
+    let options = ServeOptions {
+        user_quota: Some(Arc::new(UserBuckets::new(0.001, 2.0))),
+        ..ServeOptions::default()
+    };
+    (engine, options)
+}
+
+/// Three slow checks fill the worker and the queue, so alice's single
+/// request waits for a queue slot.  Waiting is not asking again: her line is
+/// charged once, however often the session retries it.
+const STALLED_AUTH_INPUT: &str = "\
+check 0,1;2,3 0,2;0,3;1,2;1,3 id=slow0
+check 0,1;2,3 0,2;0,3;1,2;1,3 id=slow1
+check 0,1;2,3 0,2;0,3;1,2;1,3 id=slow2
+check 0,1 0;1 auth=alice id=alice
+";
+
+fn assert_alice_answered(text: &str) {
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 4, "{text}");
+    let alice = lines
+        .iter()
+        .find(|l| l.contains("\"client_id\":\"alice\""))
+        .unwrap_or_else(|| panic!("alice unanswered: {text}"));
+    assert!(alice.contains("\"ok\":true"), "{alice}");
+    assert!(alice.contains("\"dual\":true"), "{alice}");
+}
+
+#[test]
+fn a_stalled_auth_line_is_charged_once_over_pipe_and_socket() {
+    let (engine, options) = stalling_engine_and_options();
+    let mut out = Vec::new();
+    engine
+        .serve_with(STALLED_AUTH_INPUT.as_bytes(), &mut out, &options)
+        .unwrap();
+    assert_alice_answered(&String::from_utf8(out).unwrap());
+
+    #[cfg(unix)]
+    {
+        use std::io::{Read, Write};
+        let (engine, options) = stalling_engine_and_options();
+        let engine = Arc::new(engine);
+        let path =
+            std::env::temp_dir().join(format!("qld-fairness-stalled-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let server = qld_engine::SocketServer::bind(&path).unwrap();
+        let handle = server.shutdown_handle();
+        let runner = std::thread::spawn(move || server.run(&engine, options));
+        let mut stream = std::os::unix::net::UnixStream::connect(&path).unwrap();
+        stream.write_all(STALLED_AUTH_INPUT.as_bytes()).unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut text = String::new();
+        stream.read_to_string(&mut text).unwrap();
+        handle.shutdown();
+        runner.join().unwrap().unwrap();
+        assert_alice_answered(&text);
+    }
+}

@@ -8,7 +8,8 @@
 //! connections serviced by `SocketServer::run` — so on Linux it exercises the
 //! readiness loop's line assembly, write-buffer coalescing, and fairness
 //! paths, and on other Unixes the thread-per-session fallback must pass the
-//! identical contract.
+//! identical contract.  One test replays the corpus through a pipe session
+//! (`Engine::serve_with`) as well and asserts it answers like the socket.
 
 #![cfg(unix)]
 
@@ -194,6 +195,28 @@ fn every_fixture_split_at_random_points_answers_byte_identically() {
         );
     }
     daemon.stop();
+}
+
+/// Pipe sessions (`Engine::serve_with` on a byte slice) and socket sessions
+/// run the same session state machine: the whole corpus answers identically
+/// through both.
+#[test]
+fn pipe_and_socket_sessions_answer_identically() {
+    let input = corpus_input();
+    let daemon = Daemon::start("parity", deterministic_config(), ServeOptions::default());
+    let socket = by_request(&session_chunked(&daemon, &input, &[input.len()]));
+    daemon.stop();
+    let engine = Engine::new(deterministic_config());
+    let mut out = Vec::new();
+    engine
+        .serve_with(&input[..], &mut out, &ServeOptions::default())
+        .unwrap();
+    let pipe: Vec<String> = String::from_utf8(out)
+        .unwrap()
+        .lines()
+        .map(String::from)
+        .collect();
+    assert_eq!(by_request(&pipe), socket, "pipe and socket sessions differ");
 }
 
 #[test]
