@@ -1187,8 +1187,17 @@ impl SessionMux {
 
     /// Why an admitted line is answered with a `quota` error instead of
     /// running, if it is.  Per-user fairness gates solver work only: control
-    /// traffic (`stats`) and malformed lines are never throttled.
+    /// traffic (`stats`) and malformed lines are never throttled.  The
+    /// session's in-flight cap is checked first, so a line it refuses does
+    /// not spend the user's tokens.
     fn refusal(&self, line: &Line) -> Option<String> {
+        if let Some(limit) = self.max_inflight {
+            if self.inflight.len() >= limit {
+                return Some(format!(
+                    "session in-flight quota exceeded ({limit} request(s) already running)"
+                ));
+            }
+        }
         if let (Some(quota), Some(user), Payload::Query { .. }) =
             (&self.user_quota, line.auth.as_deref(), &line.payload)
         {
@@ -1204,12 +1213,7 @@ impl SessionMux {
                 ));
             }
         }
-        match self.max_inflight {
-            Some(limit) if self.inflight.len() >= limit => Some(format!(
-                "session in-flight quota exceeded ({limit} request(s) already running)"
-            )),
-            _ => None,
-        }
+        None
     }
 
     /// Submits a committed job without blocking; a full queue parks it.

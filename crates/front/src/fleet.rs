@@ -4,8 +4,7 @@
 use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -49,7 +48,10 @@ pub struct Fleet {
     spec: ShardSpec,
     probe_interval: Duration,
     drain_timeout: Duration,
-    stop: AtomicBool,
+    /// Set once by [`Fleet::shutdown`]; `stop_requested` wakes the
+    /// supervisor out of its probe-interval wait.
+    stop: Mutex<bool>,
+    stop_requested: Condvar,
     /// Serializes fleet mutations (respawn, rolling restart, shutdown)
     /// against the supervisor tick.
     admin: Mutex<()>,
@@ -57,29 +59,39 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// Spawns all shards, waits until each accepts connections, and starts
-    /// the supervisor thread.  On any spawn failure the already-started
-    /// shards are torn down before the error is returned.
+    /// Launches every shard, then waits until each accepts connections, and
+    /// starts the supervisor thread.  The shards start concurrently: each
+    /// readiness wait counts `ready_timeout` from that shard's own launch, so
+    /// the fleet is up as soon as its slowest shard is.  On any launch or
+    /// readiness failure every already-launched shard is torn down (SIGTERM
+    /// to all, then each reaped) before the error is returned.
     pub fn start(config: FleetConfig) -> io::Result<Arc<Fleet>> {
         assert!(config.shards > 0, "a fleet needs at least one shard");
         std::fs::create_dir_all(&config.spec.dir)?;
         let shards: Vec<Arc<Shard>> = (0..config.shards)
             .map(|i| Arc::new(Shard::new(i, &config.spec.dir)))
             .collect();
-        for shard in &shards {
-            if let Err(err) = shard.spawn(&config.spec) {
-                for started in &shards {
-                    started.terminate(Duration::from_millis(200));
-                }
-                return Err(err);
-            }
+        let started = shards
+            .iter()
+            .map(|shard| shard.launch(&config.spec))
+            .collect::<io::Result<Vec<Instant>>>()
+            .and_then(|launched| {
+                shards
+                    .iter()
+                    .zip(launched)
+                    .try_for_each(|(shard, at)| shard.await_ready(&config.spec, at))
+            });
+        if let Err(err) = started {
+            terminate_all(&shards, Duration::from_millis(200));
+            return Err(err);
         }
         let fleet = Arc::new(Fleet {
             shards,
             spec: config.spec,
             probe_interval: config.probe_interval,
             drain_timeout: config.drain_timeout,
-            stop: AtomicBool::new(false),
+            stop: Mutex::new(false),
+            stop_requested: Condvar::new(),
             admin: Mutex::new(()),
             supervisor: Mutex::new(None),
         });
@@ -132,10 +144,12 @@ impl Fleet {
     /// Restarts every shard, one at a time: marks it unavailable (routers
     /// stop picking it), SIGTERMs it so it drains and writes its cache
     /// snapshot, respawns it, and waits until it is ready before moving on.
-    /// With ≥ 2 shards the fleet keeps serving throughout.
+    /// Each wait ends on its event (the old child's exit, the new child's
+    /// first accepted connection), not on a polling tick.  With ≥ 2 shards
+    /// the fleet keeps serving throughout.
     pub fn rolling_restart(&self) -> io::Result<()> {
         for shard in &self.shards {
-            if self.stop.load(Ordering::Acquire) {
+            if self.stopping() {
                 break;
             }
             let _guard = lock_ignoring_poison(&self.admin);
@@ -146,47 +160,51 @@ impl Fleet {
     }
 
     /// Blocks until shard `index` is available (respawned) or the timeout
-    /// elapses; returns whether it became available.
+    /// elapses; returns whether it became available.  The respawn that
+    /// marks the shard available wakes the waiter.
     pub fn wait_available(&self, index: usize, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        while Instant::now() < deadline {
-            if self.shards[index].is_available() {
-                return true;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        self.shards[index].is_available()
+        self.shards[index].wait_available(timeout)
     }
 
     /// Stops the supervisor and gracefully terminates every shard (SIGTERM →
-    /// snapshot write → exit).  Idempotent.
+    /// snapshot write → exit).  Every shard is signalled before any is
+    /// waited for, so the shards drain concurrently; each is reaped as soon
+    /// as it exits, or SIGKILLed once its own `drain_timeout` has passed.
+    /// Idempotent.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::Release);
+        *lock_ignoring_poison(&self.stop) = true;
+        self.stop_requested.notify_all();
         let supervisor = lock_ignoring_poison(&self.supervisor).take();
         if let Some(handle) = supervisor {
             let _ = handle.join();
         }
         let _guard = lock_ignoring_poison(&self.admin);
-        for shard in &self.shards {
-            shard.terminate(self.drain_timeout);
-        }
+        terminate_all(&self.shards, self.drain_timeout);
+    }
+
+    /// Whether [`Fleet::shutdown`] has begun.
+    fn stopping(&self) -> bool {
+        *lock_ignoring_poison(&self.stop)
+    }
+
+    /// Sleeps for `period` unless shutdown begins first; returns whether the
+    /// fleet is stopping.
+    fn pause_unless_stopping(&self, period: Duration) -> bool {
+        let stop = lock_ignoring_poison(&self.stop);
+        let (stop, _) = self
+            .stop_requested
+            .wait_timeout_while(stop, period, |stop| !*stop)
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        *stop
     }
 
     /// The supervisor loop: every `probe_interval`, reap-and-respawn dead
     /// shards and health-probe the live ones (three failed probes in a row
     /// force a restart).
     fn supervise(self: Arc<Fleet>) {
-        while !self.stop.load(Ordering::Acquire) {
-            // Sleep in small slices so shutdown is prompt.
-            let wake = Instant::now() + self.probe_interval;
-            while Instant::now() < wake {
-                if self.stop.load(Ordering::Acquire) {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
+        while !self.pause_unless_stopping(self.probe_interval) {
             let _guard = lock_ignoring_poison(&self.admin);
-            if self.stop.load(Ordering::Acquire) {
+            if self.stopping() {
                 return;
             }
             for shard in &self.shards {
@@ -227,6 +245,16 @@ impl Fleet {
 impl Drop for Fleet {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// Gracefully stops `shards` concurrently: SIGTERMs every one first, then
+/// reaps each as it exits, SIGKILLing any still running `grace` after its
+/// own SIGTERM.
+fn terminate_all(shards: &[Arc<Shard>], grace: Duration) {
+    let deadlines: Vec<Instant> = shards.iter().map(|s| s.send_terminate(grace)).collect();
+    for (shard, deadline) in shards.iter().zip(deadlines) {
+        shard.reap_by(deadline);
     }
 }
 

@@ -6,10 +6,18 @@ use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::lock_ignoring_poison;
+
+/// First pause between readiness probes of a freshly launched shard; each
+/// failed probe doubles it up to [`MAX_PROBE_PAUSE`].  A `qld serve` binds
+/// its socket within a few milliseconds, so the first probes are dense.
+const FIRST_PROBE_PAUSE: Duration = Duration::from_micros(100);
+/// Ceiling of the readiness probe backoff (a shard that is slow to start is
+/// probed at this rate).
+const MAX_PROBE_PAUSE: Duration = Duration::from_millis(10);
 
 /// How to spawn (and respawn) every shard of a fleet.
 #[derive(Debug, Clone)]
@@ -37,13 +45,59 @@ impl ShardSpec {
             .arg("--cache-file")
             .arg(&shard.cache_file)
             .stdin(Stdio::null())
-            .stdout(Stdio::null())
+            // The child's stdout is the front's exit signal: the pipe reaches
+            // end of file exactly when the child exits (see `ExitLatch`).
+            .stdout(Stdio::piped())
             .stderr(Stdio::null());
         if let Some(workers) = self.workers {
             cmd.arg("--workers").arg(workers.to_string());
         }
         cmd
     }
+}
+
+/// Set when a shard child exits, so waiters block on the event instead of
+/// polling `try_wait`.  A watcher thread per child reads (and discards) the
+/// child's stdout until end of file, which the kernel delivers when the
+/// child's last descriptor closes at exit.  Reading the pipe does not reap
+/// the child, so the slot's owner alone decides between reaping and SIGKILL
+/// and a pid is never signalled after it could have been reused.
+#[derive(Debug, Default)]
+struct ExitLatch {
+    exited: Mutex<bool>,
+    changed: Condvar,
+}
+
+impl ExitLatch {
+    fn set(&self) {
+        *lock_ignoring_poison(&self.exited) = true;
+        self.changed.notify_all();
+    }
+
+    /// Blocks until the child has exited or `deadline` passes; returns
+    /// whether it exited.
+    fn wait_until(&self, deadline: Instant) -> bool {
+        let mut exited = lock_ignoring_poison(&self.exited);
+        while !*exited {
+            let now = Instant::now();
+            if now >= deadline {
+                return false;
+            }
+            exited = self
+                .changed
+                .wait_timeout(exited, deadline - now)
+                .unwrap_or_else(|poisoned| poisoned.into_inner())
+                .0;
+        }
+        true
+    }
+}
+
+/// A launched child process and the latch its stdout watcher sets on exit.
+#[derive(Debug)]
+struct Running {
+    child: Child,
+    exit: Arc<ExitLatch>,
 }
 
 /// One shard slot: the current child process (if any) plus the routing state
@@ -53,10 +107,14 @@ pub struct Shard {
     index: usize,
     socket: PathBuf,
     cache_file: PathBuf,
-    child: Mutex<Option<Child>>,
+    child: Mutex<Option<Running>>,
     /// `true` while the shard accepts connections; policies must skip
     /// unavailable shards.
     available: AtomicBool,
+    /// Guards availability changes so [`Shard::wait_available`] can sleep on
+    /// `became_available` without missing a wake-up.
+    availability: Mutex<()>,
+    became_available: Condvar,
     /// In-flight jobs per the supervisor's last `stats` probe.
     load: AtomicU64,
     /// Bumped on every successful (re)spawn.
@@ -84,6 +142,8 @@ impl Shard {
             cache_file: dir.join(format!("shard-{index}.cache")),
             child: Mutex::new(None),
             available: AtomicBool::new(false),
+            availability: Mutex::new(()),
+            became_available: Condvar::new(),
             load: AtomicU64::new(0),
             generation: AtomicU64::new(0),
             respawns: AtomicU64::new(0),
@@ -134,7 +194,22 @@ impl Shard {
     }
 
     pub(crate) fn set_available(&self, available: bool) {
+        let _guard = lock_ignoring_poison(&self.availability);
         self.available.store(available, Ordering::Release);
+        if available {
+            self.became_available.notify_all();
+        }
+    }
+
+    /// Blocks until the shard is available or `timeout` elapses, woken by
+    /// the (re)spawn that marks it available; returns whether it is.
+    pub(crate) fn wait_available(&self, timeout: Duration) -> bool {
+        let guard = lock_ignoring_poison(&self.availability);
+        let _guard = self
+            .became_available
+            .wait_timeout_while(guard, timeout, |_| !self.is_available())
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        self.is_available()
     }
 
     pub(crate) fn set_load(&self, load: u64) {
@@ -188,20 +263,13 @@ impl Shard {
         self.respawns.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The current child's pid, if one is running.
-    pub(crate) fn pid(&self) -> Option<i32> {
-        lock_ignoring_poison(&self.child)
-            .as_ref()
-            .map(|c| c.id() as i32)
-    }
-
     /// `true` when the child process has exited (or never ran).  Reaps the
     /// zombie as a side effect.
     pub(crate) fn reap_if_dead(&self) -> bool {
         let mut slot = lock_ignoring_poison(&self.child);
         match slot.as_mut() {
             None => true,
-            Some(child) => match child.try_wait() {
+            Some(running) => match running.child.try_wait() {
                 Ok(Some(_status)) => {
                     *slot = None;
                     true
@@ -222,9 +290,9 @@ impl Shard {
     pub(crate) fn kill_now(&self) -> io::Result<()> {
         self.set_available(false);
         let mut slot = lock_ignoring_poison(&self.child);
-        if let Some(child) = slot.as_mut() {
-            child.kill()?;
-            let _ = child.wait();
+        if let Some(running) = slot.as_mut() {
+            running.child.kill()?;
+            let _ = running.child.wait();
             *slot = None;
         }
         Ok(())
@@ -232,36 +300,85 @@ impl Shard {
 
     /// Gracefully terminates the child (SIGTERM, so the engine drains its
     /// sessions and writes its cache snapshot), escalating to SIGKILL after
-    /// `grace`.
+    /// `grace`.  Returns as soon as the child exits: the wait sleeps on the
+    /// child's exit event, not on a polling tick.
     pub(crate) fn terminate(&self, grace: Duration) {
+        let deadline = self.send_terminate(grace);
+        self.reap_by(deadline);
+    }
+
+    /// First half of [`Shard::terminate`]: marks the shard unavailable and
+    /// SIGTERMs its child.  Returns the deadline (now + `grace`) after which
+    /// [`Shard::reap_by`] escalates to SIGKILL.  Split so a fleet can signal
+    /// every shard before waiting for any.
+    pub(crate) fn send_terminate(&self, grace: Duration) -> Instant {
         self.set_available(false);
-        let Some(pid) = self.pid() else { return };
-        let _ = signal::kill(pid, signal::Signal::Terminate);
-        let deadline = Instant::now() + grace;
-        loop {
-            if self.reap_if_dead() {
-                return;
-            }
-            if Instant::now() >= deadline {
-                let _ = self.kill_now();
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(10));
+        if let Some(running) = lock_ignoring_poison(&self.child).as_ref() {
+            let _ = signal::kill(running.child.id() as i32, signal::Signal::Terminate);
         }
+        Instant::now() + grace
+    }
+
+    /// Second half of [`Shard::terminate`]: waits for the child to exit,
+    /// SIGKILLs it if it is still running at `deadline`, and reaps it.
+    pub(crate) fn reap_by(&self, deadline: Instant) {
+        let Some(exit) = self.exit_latch() else {
+            return;
+        };
+        if !exit.wait_until(deadline) {
+            let _ = self.kill_now();
+            return;
+        }
+        self.reap_exited();
     }
 
     /// (Re)spawns the child and waits until its socket accepts connections.
     /// On success the shard is marked available and its generation bumped.
+    /// Used by fleet start (through its two halves), crash respawn and
+    /// rolling restart.
     pub(crate) fn spawn(&self, spec: &ShardSpec) -> io::Result<()> {
-        {
-            let mut slot = lock_ignoring_poison(&self.child);
-            if let Some(mut old) = slot.take() {
-                let _ = old.kill();
-                let _ = old.wait();
-            }
-            *slot = Some(spec.command(self).spawn()?);
+        let launched = self.launch(spec)?;
+        self.await_ready(spec, launched)
+    }
+
+    /// First half of [`Shard::spawn`]: kills any previous child, starts a new
+    /// one and its exit watcher, and returns the launch instant.  Does not
+    /// wait for the child, so a fleet can launch every shard before waiting
+    /// for any.
+    pub(crate) fn launch(&self, spec: &ShardSpec) -> io::Result<Instant> {
+        let mut slot = lock_ignoring_poison(&self.child);
+        if let Some(mut old) = slot.take() {
+            let _ = old.child.kill();
+            let _ = old.child.wait();
         }
-        let deadline = Instant::now() + spec.ready_timeout;
+        let mut child = spec.command(self).spawn()?;
+        let launched = Instant::now();
+        let mut stdout = child.stdout.take().expect("shard stdout is piped");
+        let exit = Arc::new(ExitLatch::default());
+        let latch = Arc::clone(&exit);
+        let watcher = std::thread::Builder::new()
+            .name(format!("shard-{}-exit", self.index))
+            .spawn(move || {
+                let _ = io::copy(&mut stdout, &mut io::sink());
+                latch.set();
+            });
+        if let Err(err) = watcher {
+            let _ = child.kill();
+            let _ = child.wait();
+            return Err(err);
+        }
+        *slot = Some(Running { child, exit });
+        Ok(launched)
+    }
+
+    /// Second half of [`Shard::spawn`]: waits until the child launched at
+    /// `launched` accepts connections, within `spec.ready_timeout` of its
+    /// launch.  The connect probe backs off from 100 µs to 10 ms, and the
+    /// child's exit ends the wait at once with an error.
+    pub(crate) fn await_ready(&self, spec: &ShardSpec, launched: Instant) -> io::Result<()> {
+        let deadline = launched + spec.ready_timeout;
+        let exit = self.exit_latch();
+        let mut pause = FIRST_PROBE_PAUSE;
         loop {
             if self.connect().is_ok() {
                 self.clear_strikes();
@@ -277,7 +394,12 @@ impl Shard {
                 self.set_available(true);
                 return Ok(());
             }
-            if self.reap_if_dead() {
+            let exited = match &exit {
+                Some(exit) => exit.wait_until(deadline.min(Instant::now() + pause)),
+                None => true,
+            };
+            if exited {
+                self.reap_exited();
                 return Err(io::Error::new(
                     io::ErrorKind::BrokenPipe,
                     format!("shard {} exited before accepting connections", self.index),
@@ -293,7 +415,28 @@ impl Shard {
                     ),
                 ));
             }
-            std::thread::sleep(Duration::from_millis(10));
+            pause = (pause * 2).min(MAX_PROBE_PAUSE);
+        }
+    }
+
+    /// The current child's exit latch, if a child is running.
+    fn exit_latch(&self) -> Option<Arc<ExitLatch>> {
+        lock_ignoring_poison(&self.child)
+            .as_ref()
+            .map(|running| Arc::clone(&running.exit))
+    }
+
+    /// Reaps a child whose exit latch is set.  The pipe closes as the child
+    /// exits, so it is normally reapable at once; a child still running (one
+    /// that closed its own stdout, or one caught between closing its
+    /// descriptors and becoming a zombie) is SIGKILLed first, so the wait
+    /// cannot block.
+    fn reap_exited(&self) {
+        if let Some(mut running) = lock_ignoring_poison(&self.child).take() {
+            if !matches!(running.child.try_wait(), Ok(Some(_))) {
+                let _ = running.child.kill();
+                let _ = running.child.wait();
+            }
         }
     }
 }

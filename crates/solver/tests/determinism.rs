@@ -13,7 +13,10 @@
 
 use core::fmt::Write as _;
 
-use qld_solver::hypergraph::generators::standard_corpus;
+use qld_solver::hypergraph::generators::{
+    matching_instance, random_dual_instance, self_dual_instance, standard_corpus,
+    threshold_instance, LabelledInstance,
+};
 use qld_solver::{
     borders_exact, BergeSolver, DualitySolver, FkASolver, QuadLogspaceSolver, SpaceStrategy,
 };
@@ -71,3 +74,48 @@ fn transcript_digest_matches_golden() {
 }
 
 const GOLDEN: u64 = 0x9ac1_f3b8_1fdc_48b8;
+
+/// Renders the metered work-tape peak (`peak_bits`, the Theorem 4.1 figure)
+/// of both space strategies on every corpus instance, plus the chain
+/// strategy on four larger duals, into one canonical string.
+fn space_transcript() -> String {
+    let mut out = String::new();
+    let mut record = |name: &str, strategy: SpaceStrategy, inst: &LabelledInstance| {
+        let (_, report) = QuadLogspaceSolver::new(strategy)
+            .decide_with_space(&inst.g, &inst.h)
+            .expect("instances are valid");
+        writeln!(out, "{}/{name}: {}", inst.name, report.peak_bits).unwrap();
+    };
+    for inst in standard_corpus() {
+        record("chain", SpaceStrategy::MaterializeChain, &inst);
+        record("recompute", SpaceStrategy::Recompute, &inst);
+    }
+    for inst in [
+        matching_instance(6),
+        threshold_instance(9, 4),
+        self_dual_instance(4),
+        random_dual_instance(12, 10, 4, 1),
+    ] {
+        record("chain", SpaceStrategy::MaterializeChain, &inst);
+    }
+    out
+}
+
+/// Pins the exact `peak_bits` of the quadlog solver under both feature
+/// settings, so a solver change that alters the metered space shows up
+/// here and not only as a ratio drift in a benchmark.
+#[test]
+fn peak_bits_digest_matches_golden() {
+    let t = space_transcript();
+    let digest = fnv1a(t.as_bytes());
+    if std::env::var_os("QLD_PRINT_DIGEST").is_some() {
+        eprintln!("space transcript digest: {digest:#018x}");
+        eprintln!("{t}");
+    }
+    assert_eq!(
+        digest, SPACE_GOLDEN,
+        "peak_bits transcript diverged from golden"
+    );
+}
+
+const SPACE_GOLDEN: u64 = 0xb052_af6d_20c3_3d72;

@@ -289,3 +289,76 @@ fn a_stalled_auth_line_is_charged_once_over_pipe_and_socket() {
         assert_alice_answered(&text);
     }
 }
+
+/// The session's in-flight cap is checked before the user's bucket: a line
+/// refused because the session already has a request running does not spend
+/// one of the user's tokens.  alice has a burst of 2: her slow `a1` takes
+/// one, `a2` is refused for the session cap while `a1` runs, and `a3`, sent
+/// after `a1` is answered, gets the second token.
+#[cfg(unix)]
+#[test]
+fn a_line_refused_for_the_session_cap_spends_no_user_tokens() {
+    use std::io::{BufRead, BufReader, Write};
+    let engine = Arc::new(Engine::new(EngineConfig {
+        workers: 1,
+        cache: false,
+        policy: Arc::new(SleepOnBig {
+            volume_threshold: 8,
+            delay: std::time::Duration::from_millis(200),
+        }),
+        ..EngineConfig::default()
+    }));
+    let options = ServeOptions {
+        max_inflight: Some(1),
+        user_quota: Some(Arc::new(UserBuckets::new(0.001, 2.0))),
+        ..ServeOptions::default()
+    };
+    let path = std::env::temp_dir().join(format!("qld-fairness-cap-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let server = qld_engine::SocketServer::bind(&path).unwrap();
+    let handle = server.shutdown_handle();
+    let runner = std::thread::spawn(move || server.run(&engine, options));
+
+    let mut stream = std::os::unix::net::UnixStream::connect(&path).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    stream
+        .write_all(
+            b"check 0,1;2,3 0,2;0,3;1,2;1,3 auth=alice id=a1\ncheck 0,1 0;1 auth=alice id=a2\n",
+        )
+        .unwrap();
+    let mut first = Vec::new();
+    for _ in 0..2 {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        first.push(line);
+    }
+    let find = |lines: &[String], tag: &str| -> String {
+        lines
+            .iter()
+            .find(|l| l.contains(&format!("\"client_id\":\"{tag}\"")))
+            .unwrap_or_else(|| panic!("no answer for {tag}: {lines:#?}"))
+            .clone()
+    };
+    let a1 = find(&first, "a1");
+    assert!(
+        a1.contains("\"ok\":true") && a1.contains("\"dual\":true"),
+        "{a1}"
+    );
+    let a2 = find(&first, "a2");
+    assert!(
+        a2.contains("\"code\":\"quota\"") && a2.contains("session in-flight quota exceeded"),
+        "{a2}"
+    );
+
+    stream
+        .write_all(b"check 0,1 0;1 auth=alice id=a3\n")
+        .unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let rest: Vec<String> = reader.lines().map(|l| l.unwrap()).collect();
+    assert_eq!(rest.len(), 1, "{rest:#?}");
+    let a3 = find(&rest, "a3");
+    assert!(a3.contains("\"ok\":true"), "{a3}");
+
+    handle.shutdown();
+    runner.join().unwrap().unwrap();
+}

@@ -12,7 +12,8 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -29,6 +30,28 @@ fn scratch_dir(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// Writes `dir/qld-wrapper.sh`, a shard binary that runs `body` and then
+/// execs the real `qld` with its arguments.  A child shell writes the file,
+/// so no descriptor open for writing leaks into a process another test
+/// thread forks meanwhile (exec would then fail with ETXTBSY).
+fn wrapper_script(dir: &Path, body: &str) -> PathBuf {
+    let path = dir.join("qld-wrapper.sh");
+    let script = format!(
+        "#!/bin/sh\n{body}\nexec '{}' \"$@\"\n",
+        qld_binary().display()
+    );
+    let status = Command::new("/bin/sh")
+        .arg("-c")
+        .arg("printf '%s' \"$1\" > \"$2\" && chmod 755 \"$2\"")
+        .arg("sh")
+        .arg(&script)
+        .arg(&path)
+        .status()
+        .expect("run /bin/sh");
+    assert!(status.success(), "writing {}", path.display());
+    path
 }
 
 /// An in-process router serving a real shard fleet on a Unix socket.
@@ -677,7 +700,11 @@ fn stampede_across_sessions_reaches_a_shard_exactly_once() {
 #[test]
 fn cancelled_leader_promotes_a_follower_session() {
     let front = TestFront::start("promote", 2);
-    let rel = pair_complement_inline(5);
+    // The cancel must reach the leader's shard while the mine still runs.
+    // From the leader's line to the cancel takes 2-8 ms in a release build;
+    // p = 7 mines for about 0.85 s there (about 8 s in debug), over 100x
+    // that window.  p = 5 (about 9 ms) often finished first.
+    let rel = pair_complement_inline(7);
 
     // Session A leads the flight...
     let mut a = front.connect();
@@ -687,7 +714,7 @@ fn cancelled_leader_promotes_a_follower_session() {
     let deadline = Instant::now() + Duration::from_secs(5);
     while front.router.coalesce_stats().0 < 1 {
         assert!(Instant::now() < deadline, "leader never registered");
-        std::thread::sleep(Duration::from_millis(5));
+        std::thread::sleep(Duration::from_millis(1));
     }
 
     // ...and session B enrolls as its follower.
@@ -704,7 +731,7 @@ fn cancelled_leader_promotes_a_follower_session() {
     let deadline = Instant::now() + Duration::from_secs(5);
     while front.router.coalesce_stats().1 < 1 {
         assert!(Instant::now() < deadline, "follower never enrolled");
-        std::thread::sleep(Duration::from_millis(5));
+        std::thread::sleep(Duration::from_millis(1));
     }
 
     // A cancels its own request: A gets the cancelled partial + the ack,
@@ -741,4 +768,64 @@ fn cancelled_leader_promotes_a_follower_session() {
 
     let summary = front.stop();
     assert_eq!(summary.errors, 0);
+}
+
+/// `Fleet::start` launches every shard before waiting for any: two shards
+/// whose binary takes 0.3 s to start are both up in well under the 0.6 s a
+/// one-at-a-time start would need.
+#[test]
+fn fleet_start_launches_shards_concurrently() {
+    let dir = scratch_dir("concurrent-start");
+    let mut config = FleetConfig::new(2, wrapper_script(&dir, "sleep 0.3"), dir.join("shards"));
+    config.spec.workers = Some(1);
+
+    let began = Instant::now();
+    let fleet = Fleet::start(config).expect("fleet start");
+    let took = began.elapsed();
+    assert!(
+        took < Duration::from_millis(500),
+        "two 0.3 s shard starts took {took:?}"
+    );
+    for i in 0..2 {
+        let mut stream = fleet.connect(i).expect("connect to shard");
+        stream.write_all(b"stats\n").unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut line = String::new();
+        BufReader::new(stream).read_line(&mut line).unwrap();
+        assert!(line.contains("\"kind\":\"stats\""), "shard {i}: {line}");
+    }
+
+    fleet.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A shard that exits during start fails `Fleet::start` at once (not after
+/// `ready_timeout`), and the shard that did come up is torn down with it.
+#[test]
+fn failed_start_tears_down_the_launched_shards() {
+    let dir = scratch_dir("failed-start");
+    let wrapper = wrapper_script(&dir, "case \"$*\" in *shard-1.sock*) exit 1 ;; esac");
+    let mut config = FleetConfig::new(2, wrapper, dir.join("shards"));
+    config.spec.workers = Some(1);
+
+    let began = Instant::now();
+    let err = match Fleet::start(config) {
+        Ok(_) => panic!("a fleet with a failing shard started"),
+        Err(err) => err,
+    };
+    let took = began.elapsed();
+    assert!(
+        err.to_string()
+            .contains("shard 1 exited before accepting connections"),
+        "{err}"
+    );
+    assert!(
+        took < Duration::from_secs(2),
+        "failure took {took:?} (ready_timeout is 10 s)"
+    );
+    assert!(
+        UnixStream::connect(dir.join("shards").join("shard-0.sock")).is_err(),
+        "shard 0 still accepts connections after the failed start"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
