@@ -79,7 +79,7 @@ impl Fleet {
                 shards
                     .iter()
                     .zip(launched)
-                    .try_for_each(|(shard, at)| shard.await_ready(&config.spec, at))
+                    .try_for_each(|(shard, at)| shard.await_ready(&config.spec, at, false))
             });
         if let Err(err) = started {
             terminate_all(&shards, Duration::from_millis(200));
@@ -154,7 +154,7 @@ impl Fleet {
             }
             let _guard = lock_ignoring_poison(&self.admin);
             shard.terminate(self.drain_timeout);
-            shard.spawn(&self.spec)?;
+            shard.spawn(&self.spec, false)?;
         }
         Ok(())
     }
@@ -210,10 +210,8 @@ impl Fleet {
             for shard in &self.shards {
                 if shard.reap_if_dead() {
                     shard.set_available(false);
-                    if shard.spawn(&self.spec).is_ok() {
-                        shard.note_respawn();
-                    }
                     // On failure the next tick tries again.
+                    let _ = shard.spawn(&self.spec, true);
                     continue;
                 }
                 if !shard.is_available() {

@@ -77,19 +77,13 @@ impl ExitLatch {
     /// Blocks until the child has exited or `deadline` passes; returns
     /// whether it exited.
     fn wait_until(&self, deadline: Instant) -> bool {
-        let mut exited = lock_ignoring_poison(&self.exited);
-        while !*exited {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            exited = self
-                .changed
-                .wait_timeout(exited, deadline - now)
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .0;
-        }
-        true
+        let exited = lock_ignoring_poison(&self.exited);
+        let timeout = deadline.saturating_duration_since(Instant::now());
+        let (exited, _) = self
+            .changed
+            .wait_timeout_while(exited, timeout, |exited| !*exited)
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        *exited
     }
 }
 
@@ -259,10 +253,6 @@ impl Shard {
         self.probe_strikes.fetch_add(1, Ordering::Relaxed) + 1 >= 3
     }
 
-    pub(crate) fn note_respawn(&self) {
-        self.respawns.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// `true` when the child process has exited (or never ran).  Reaps the
     /// zombie as a side effect.
     pub(crate) fn reap_if_dead(&self) -> bool {
@@ -333,12 +323,12 @@ impl Shard {
     }
 
     /// (Re)spawns the child and waits until its socket accepts connections.
-    /// On success the shard is marked available and its generation bumped.
-    /// Used by fleet start (through its two halves), crash respawn and
-    /// rolling restart.
-    pub(crate) fn spawn(&self, spec: &ShardSpec) -> io::Result<()> {
+    /// On success the shard is marked available and its generation bumped;
+    /// `after_crash` also counts it in [`Shard::respawns`].  Used by crash
+    /// respawn and rolling restart; fleet start calls the two halves.
+    pub(crate) fn spawn(&self, spec: &ShardSpec, after_crash: bool) -> io::Result<()> {
         let launched = self.launch(spec)?;
-        self.await_ready(spec, launched)
+        self.await_ready(spec, launched, after_crash)
     }
 
     /// First half of [`Shard::spawn`]: kills any previous child, starts a new
@@ -356,6 +346,9 @@ impl Shard {
         let mut stdout = child.stdout.take().expect("shard stdout is piped");
         let exit = Arc::new(ExitLatch::default());
         let latch = Arc::clone(&exit);
+        // Detached on purpose: the watcher ends by itself at end of file,
+        // and joining it at reap time could block if a grandchild of a
+        // wrapper binary still holds the pipe.
         let watcher = std::thread::Builder::new()
             .name(format!("shard-{}-exit", self.index))
             .spawn(move || {
@@ -374,8 +367,15 @@ impl Shard {
     /// Second half of [`Shard::spawn`]: waits until the child launched at
     /// `launched` accepts connections, within `spec.ready_timeout` of its
     /// launch.  The connect probe backs off from 100 µs to 10 ms, and the
-    /// child's exit ends the wait at once with an error.
-    pub(crate) fn await_ready(&self, spec: &ShardSpec, launched: Instant) -> io::Result<()> {
+    /// child's exit ends the wait at once with an error.  The respawn count
+    /// and generation are updated before the shard is marked available, so
+    /// a [`Shard::wait_available`] caller woken by it sees them.
+    pub(crate) fn await_ready(
+        &self,
+        spec: &ShardSpec,
+        launched: Instant,
+        after_crash: bool,
+    ) -> io::Result<()> {
         let deadline = launched + spec.ready_timeout;
         let exit = self.exit_latch();
         let mut pause = FIRST_PROBE_PAUSE;
@@ -391,6 +391,9 @@ impl Shard {
                     .fetch_max(reset_ticket, Ordering::AcqRel);
                 self.set_load(0);
                 self.generation.fetch_add(1, Ordering::Relaxed);
+                if after_crash {
+                    self.respawns.fetch_add(1, Ordering::Relaxed);
+                }
                 self.set_available(true);
                 return Ok(());
             }
