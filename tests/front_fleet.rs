@@ -701,9 +701,10 @@ fn stampede_across_sessions_reaches_a_shard_exactly_once() {
 fn cancelled_leader_promotes_a_follower_session() {
     let front = TestFront::start("promote", 2);
     // The cancel must reach the leader's shard while the mine still runs.
-    // From the leader's line to the cancel takes 2-8 ms in a release build;
-    // p = 7 mines for about 0.85 s there (about 8 s in debug), over 100x
-    // that window.  p = 5 (about 9 ms) often finished first.
+    // From the leader's line to the cancel took 4-19 ms in a release build
+    // (median 5 ms); p = 7 mines for about 0.85 s there (about 8 s in
+    // debug), about 170x the median window.  p = 5 (about 9 ms) often
+    // finished first.
     let rel = pair_complement_inline(7);
 
     // Session A leads the flight...
@@ -714,6 +715,17 @@ fn cancelled_leader_promotes_a_follower_session() {
     let deadline = Instant::now() + Duration::from_secs(5);
     while front.router.coalesce_stats().0 < 1 {
         assert!(Instant::now() < deadline, "leader never registered");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // The cancel must also find the leader executing: a job cancelled while
+    // still queued on its shard answers `ok:false` ("cancelled before
+    // execution").  A shard worker leads a flight just before it executes.
+    while (0..2)
+        .map(|i| field_u64(&front.shard_stats(i), "\"flights\":"))
+        .sum::<u64>()
+        < 1
+    {
+        assert!(Instant::now() < deadline, "leader never reached a worker");
         std::thread::sleep(Duration::from_millis(1));
     }
 
