@@ -286,8 +286,9 @@ fn empty_edge_families_flow_through_the_cache_key_path_end_to_end() {
     // (the constant-true DNF, `n=N:.`) and families mixing the empty edge
     // with real edges (`.;0,1`).  Permuted spellings of the same instance
     // must share one cache entry, and distinct degenerate families must not.
-    // One worker: requests execute strictly in order, so each re-ask runs
-    // after its original's insert (no racy misses).
+    // One worker: requests execute strictly in order.  A re-ask submitted
+    // while its original still runs coalesces onto that flight instead of
+    // hitting the cache, so the ledger below counts hits plus followers.
     let engine = Engine::new(EngineConfig {
         workers: 1,
         ..EngineConfig::default()
@@ -323,9 +324,11 @@ check n=3:. n=3:-
         assert!(line.contains("\"count\":0"), "{line}");
     }
     assert!(lines[1].contains("\"cache_hit\":false"), "{}", lines[1]);
-    assert!(lines[2].contains("\"cache_hit\":true"), "{}", lines[2]);
-    assert!(lines[3].contains("\"cache_hit\":true"), "{}", lines[3]);
-    // Exactly two distinct canonical keys were stored.
+    assert!(lines[3].contains("\"dual\":true"), "{}", lines[3]);
+    // Exactly two distinct canonical keys were stored, each executed once;
+    // each re-ask was a cache hit or a follower of its original's flight.
     assert_eq!(engine.cache_stats().entries, 2);
-    assert_eq!(engine.cache_stats().hits, 2);
+    let (flights, coalesced) = engine.coalesce_stats();
+    assert_eq!(flights, 2, "{text}");
+    assert_eq!(engine.cache_stats().hits + coalesced, 2, "{text}");
 }
