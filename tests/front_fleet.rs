@@ -794,21 +794,28 @@ fn fleet_start_launches_shards_concurrently() {
     let began = Instant::now();
     let fleet = Fleet::start(config).expect("fleet start");
     let took = began.elapsed();
+    let answers: Vec<String> = (0..2)
+        .map(|i| {
+            let mut line = String::new();
+            if let Ok(mut stream) = fleet.connect(i) {
+                let _ = stream.write_all(b"stats\n");
+                let _ = stream.shutdown(std::net::Shutdown::Write);
+                let _ = BufReader::new(stream).read_line(&mut line);
+            }
+            line
+        })
+        .collect();
+    // Stop the shards before asserting, so a failure leaks no processes.
+    fleet.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+
     assert!(
         took < Duration::from_millis(500),
         "two 0.3 s shard starts took {took:?}"
     );
-    for i in 0..2 {
-        let mut stream = fleet.connect(i).expect("connect to shard");
-        stream.write_all(b"stats\n").unwrap();
-        stream.shutdown(std::net::Shutdown::Write).unwrap();
-        let mut line = String::new();
-        BufReader::new(stream).read_line(&mut line).unwrap();
+    for (i, line) in answers.iter().enumerate() {
         assert!(line.contains("\"kind\":\"stats\""), "shard {i}: {line}");
     }
-
-    fleet.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A shard that exits during start fails `Fleet::start` at once (not after
