@@ -144,9 +144,9 @@ impl Fleet {
     /// Restarts every shard, one at a time: marks it unavailable (routers
     /// stop picking it), SIGTERMs it so it drains and writes its cache
     /// snapshot, respawns it, and waits until it is ready before moving on.
-    /// Each wait ends on its event (the old child's exit, the new child's
-    /// first accepted connection), not on a polling tick.  With ≥ 2 shards
-    /// the fleet keeps serving throughout.
+    /// Both waits (the old child's exit, the new child's first accepted
+    /// connection) check on a 100 µs → 10 ms backoff, not on a fixed tick.
+    /// With ≥ 2 shards the fleet keeps serving throughout.
     pub fn rolling_restart(&self) -> io::Result<()> {
         for shard in &self.shards {
             if self.stopping() {

@@ -6,18 +6,26 @@ use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::lock_ignoring_poison;
 
-/// First pause between readiness probes of a freshly launched shard; each
-/// failed probe doubles it up to [`MAX_PROBE_PAUSE`].  A `qld serve` binds
-/// its socket within a few milliseconds, so the first probes are dense.
+/// First pause of a wait on a shard child (readiness probes, exit checks);
+/// each unmet check doubles it up to [`MAX_PROBE_PAUSE`].  A `qld serve`
+/// binds its socket, and drains on SIGTERM, within a few milliseconds, so
+/// the first checks are dense.
 const FIRST_PROBE_PAUSE: Duration = Duration::from_micros(100);
-/// Ceiling of the readiness probe backoff (a shard that is slow to start is
-/// probed at this rate).
+/// Ceiling of the probe backoff (a shard that is slow to start or to exit is
+/// checked at this rate).
 const MAX_PROBE_PAUSE: Duration = Duration::from_millis(10);
+
+/// Sleeps for `pause`, cut short at `deadline`, and doubles `pause` up to
+/// [`MAX_PROBE_PAUSE`] for the next check.
+fn back_off(pause: &mut Duration, deadline: Instant) {
+    std::thread::sleep((*pause).min(deadline.saturating_duration_since(Instant::now())));
+    *pause = (*pause * 2).min(MAX_PROBE_PAUSE);
+}
 
 /// How to spawn (and respawn) every shard of a fleet.
 #[derive(Debug, Clone)]
@@ -45,53 +53,13 @@ impl ShardSpec {
             .arg("--cache-file")
             .arg(&shard.cache_file)
             .stdin(Stdio::null())
-            // The child's stdout is the front's exit signal: the pipe reaches
-            // end of file exactly when the child exits (see `ExitLatch`).
-            .stdout(Stdio::piped())
+            .stdout(Stdio::null())
             .stderr(Stdio::null());
         if let Some(workers) = self.workers {
             cmd.arg("--workers").arg(workers.to_string());
         }
         cmd
     }
-}
-
-/// Set when a shard child exits, so waiters block on the event instead of
-/// polling `try_wait`.  A watcher thread per child reads (and discards) the
-/// child's stdout until end of file, which the kernel delivers when the
-/// child's last descriptor closes at exit.  Reading the pipe does not reap
-/// the child, so the slot's owner alone decides between reaping and SIGKILL
-/// and a pid is never signalled after it could have been reused.
-#[derive(Debug, Default)]
-struct ExitLatch {
-    exited: Mutex<bool>,
-    changed: Condvar,
-}
-
-impl ExitLatch {
-    fn set(&self) {
-        *lock_ignoring_poison(&self.exited) = true;
-        self.changed.notify_all();
-    }
-
-    /// Blocks until the child has exited or `deadline` passes; returns
-    /// whether it exited.
-    fn wait_until(&self, deadline: Instant) -> bool {
-        let exited = lock_ignoring_poison(&self.exited);
-        let timeout = deadline.saturating_duration_since(Instant::now());
-        let (exited, _) = self
-            .changed
-            .wait_timeout_while(exited, timeout, |exited| !*exited)
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        *exited
-    }
-}
-
-/// A launched child process and the latch its stdout watcher sets on exit.
-#[derive(Debug)]
-struct Running {
-    child: Child,
-    exit: Arc<ExitLatch>,
 }
 
 /// One shard slot: the current child process (if any) plus the routing state
@@ -101,7 +69,7 @@ pub struct Shard {
     index: usize,
     socket: PathBuf,
     cache_file: PathBuf,
-    child: Mutex<Option<Running>>,
+    child: Mutex<Option<Child>>,
     /// `true` while the shard accepts connections; policies must skip
     /// unavailable shards.
     available: AtomicBool,
@@ -259,7 +227,7 @@ impl Shard {
         let mut slot = lock_ignoring_poison(&self.child);
         match slot.as_mut() {
             None => true,
-            Some(running) => match running.child.try_wait() {
+            Some(child) => match child.try_wait() {
                 Ok(Some(_status)) => {
                     *slot = None;
                     true
@@ -280,9 +248,9 @@ impl Shard {
     pub(crate) fn kill_now(&self) -> io::Result<()> {
         self.set_available(false);
         let mut slot = lock_ignoring_poison(&self.child);
-        if let Some(running) = slot.as_mut() {
-            running.child.kill()?;
-            let _ = running.child.wait();
+        if let Some(child) = slot.as_mut() {
+            child.kill()?;
+            let _ = child.wait();
             *slot = None;
         }
         Ok(())
@@ -290,8 +258,8 @@ impl Shard {
 
     /// Gracefully terminates the child (SIGTERM, so the engine drains its
     /// sessions and writes its cache snapshot), escalating to SIGKILL after
-    /// `grace`.  Returns as soon as the child exits: the wait sleeps on the
-    /// child's exit event, not on a polling tick.
+    /// `grace`.  Returns soon after the child exits: the exit check backs
+    /// off from 100 µs to 10 ms instead of polling on a fixed tick.
     pub(crate) fn terminate(&self, grace: Duration) {
         let deadline = self.send_terminate(grace);
         self.reap_by(deadline);
@@ -303,8 +271,8 @@ impl Shard {
     /// every shard before waiting for any.
     pub(crate) fn send_terminate(&self, grace: Duration) -> Instant {
         self.set_available(false);
-        if let Some(running) = lock_ignoring_poison(&self.child).as_ref() {
-            let _ = signal::kill(running.child.id() as i32, signal::Signal::Terminate);
+        if let Some(child) = lock_ignoring_poison(&self.child).as_ref() {
+            let _ = signal::kill(child.id() as i32, signal::Signal::Terminate);
         }
         Instant::now() + grace
     }
@@ -312,14 +280,14 @@ impl Shard {
     /// Second half of [`Shard::terminate`]: waits for the child to exit,
     /// SIGKILLs it if it is still running at `deadline`, and reaps it.
     pub(crate) fn reap_by(&self, deadline: Instant) {
-        let Some(exit) = self.exit_latch() else {
-            return;
-        };
-        if !exit.wait_until(deadline) {
-            let _ = self.kill_now();
-            return;
+        let mut pause = FIRST_PROBE_PAUSE;
+        while !self.reap_if_dead() {
+            if Instant::now() >= deadline {
+                let _ = self.kill_now();
+                return;
+            }
+            back_off(&mut pause, deadline);
         }
-        self.reap_exited();
     }
 
     /// (Re)spawns the child and waits until its socket accepts connections.
@@ -332,44 +300,25 @@ impl Shard {
     }
 
     /// First half of [`Shard::spawn`]: kills any previous child, starts a new
-    /// one and its exit watcher, and returns the launch instant.  Does not
-    /// wait for the child, so a fleet can launch every shard before waiting
-    /// for any.
+    /// one, and returns the launch instant.  Does not wait for the child, so
+    /// a fleet can launch every shard before waiting for any.
     pub(crate) fn launch(&self, spec: &ShardSpec) -> io::Result<Instant> {
         let mut slot = lock_ignoring_poison(&self.child);
         if let Some(mut old) = slot.take() {
-            let _ = old.child.kill();
-            let _ = old.child.wait();
+            let _ = old.kill();
+            let _ = old.wait();
         }
-        let mut child = spec.command(self).spawn()?;
-        let launched = Instant::now();
-        let mut stdout = child.stdout.take().expect("shard stdout is piped");
-        let exit = Arc::new(ExitLatch::default());
-        let latch = Arc::clone(&exit);
-        // Detached on purpose: the watcher ends by itself at end of file,
-        // and joining it at reap time could block if a grandchild of a
-        // wrapper binary still holds the pipe.
-        let watcher = std::thread::Builder::new()
-            .name(format!("shard-{}-exit", self.index))
-            .spawn(move || {
-                let _ = io::copy(&mut stdout, &mut io::sink());
-                latch.set();
-            });
-        if let Err(err) = watcher {
-            let _ = child.kill();
-            let _ = child.wait();
-            return Err(err);
-        }
-        *slot = Some(Running { child, exit });
-        Ok(launched)
+        *slot = Some(spec.command(self).spawn()?);
+        Ok(Instant::now())
     }
 
     /// Second half of [`Shard::spawn`]: waits until the child launched at
     /// `launched` accepts connections, within `spec.ready_timeout` of its
-    /// launch.  The connect probe backs off from 100 µs to 10 ms, and the
-    /// child's exit ends the wait at once with an error.  The respawn count
-    /// and generation are updated before the shard is marked available, so
-    /// a [`Shard::wait_available`] caller woken by it sees them.
+    /// launch.  The connect probe backs off from 100 µs to 10 ms, and a child
+    /// found exited at a probe ends the wait with an error.  The respawn
+    /// count and generation are updated before the shard is marked
+    /// available, so a [`Shard::wait_available`] caller woken by it sees
+    /// them.
     pub(crate) fn await_ready(
         &self,
         spec: &ShardSpec,
@@ -377,7 +326,6 @@ impl Shard {
         after_crash: bool,
     ) -> io::Result<()> {
         let deadline = launched + spec.ready_timeout;
-        let exit = self.exit_latch();
         let mut pause = FIRST_PROBE_PAUSE;
         loop {
             if self.connect().is_ok() {
@@ -397,12 +345,7 @@ impl Shard {
                 self.set_available(true);
                 return Ok(());
             }
-            let exited = match &exit {
-                Some(exit) => exit.wait_until(deadline.min(Instant::now() + pause)),
-                None => true,
-            };
-            if exited {
-                self.reap_exited();
+            if self.reap_if_dead() {
                 return Err(io::Error::new(
                     io::ErrorKind::BrokenPipe,
                     format!("shard {} exited before accepting connections", self.index),
@@ -418,28 +361,7 @@ impl Shard {
                     ),
                 ));
             }
-            pause = (pause * 2).min(MAX_PROBE_PAUSE);
-        }
-    }
-
-    /// The current child's exit latch, if a child is running.
-    fn exit_latch(&self) -> Option<Arc<ExitLatch>> {
-        lock_ignoring_poison(&self.child)
-            .as_ref()
-            .map(|running| Arc::clone(&running.exit))
-    }
-
-    /// Reaps a child whose exit latch is set.  The pipe closes as the child
-    /// exits, so it is normally reapable at once; a child still running (one
-    /// that closed its own stdout, or one caught between closing its
-    /// descriptors and becoming a zombie) is SIGKILLed first, so the wait
-    /// cannot block.
-    fn reap_exited(&self) {
-        if let Some(mut running) = lock_ignoring_poison(&self.child).take() {
-            if !matches!(running.child.try_wait(), Ok(Some(_))) {
-                let _ = running.child.kill();
-                let _ = running.child.wait();
-            }
+            back_off(&mut pause, deadline);
         }
     }
 }
