@@ -168,8 +168,9 @@ impl Fleet {
 
     /// Stops the supervisor and gracefully terminates every shard (SIGTERM →
     /// snapshot write → exit).  Every shard is signalled before any is
-    /// waited for, so the shards drain concurrently; each is reaped as soon
-    /// as it exits, or SIGKILLed once its own `drain_timeout` has passed.
+    /// waited for, so the shards drain concurrently; each is reaped within a
+    /// backoff step (≤ 10 ms) of its exit, or SIGKILLed once its own
+    /// `drain_timeout` has passed.
     /// Idempotent.
     pub fn shutdown(&self) {
         *lock_ignoring_poison(&self.stop) = true;
