@@ -51,11 +51,6 @@ pub enum DualError {
         /// The configured limit.
         limit: u128,
     },
-    /// The computation was cancelled before an answer was reached: a parallel
-    /// split's subtasks were skipped at a steal boundary, so no (deterministic)
-    /// result exists.  Serving layers map this to their cancellation outcome;
-    /// it never occurs without an external cancellation request.
-    Interrupted,
 }
 
 impl fmt::Display for DualError {
@@ -78,9 +73,6 @@ impl fmt::Display for DualError {
                 f,
                 "decompose would enumerate {descriptors} path descriptors, above the limit of {limit}"
             ),
-            DualError::Interrupted => {
-                write!(f, "computation cancelled before an answer was reached")
-            }
         }
     }
 }

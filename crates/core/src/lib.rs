@@ -58,8 +58,6 @@ pub mod guess_check;
 pub mod instance;
 pub mod node;
 pub mod oracle;
-#[cfg(feature = "std")]
-pub mod par;
 pub mod path;
 pub mod pathnode;
 pub mod result;
@@ -71,8 +69,6 @@ pub mod witness;
 pub use error::{DualError, Side};
 pub use instance::DualInstance;
 pub use node::{Mark, NodeAttr};
-#[cfg(feature = "std")]
-pub use par::{InlinePool, ParallelContext, SubtaskPool, SubtaskScope};
 pub use path::PathDescriptor;
 pub use pathnode::{pathnode, PathnodeOutcome, SpaceStrategy};
 pub use result::{verify_witness, DualityResult, NonDualWitness};

@@ -19,24 +19,12 @@ use crate::oracle::{
     child_count, child_count_given, classify, materialize_child, materialize_witness, ChildOracle,
     MaterializedOracle, NodeClass, RootOracle, SAlphaOracle,
 };
-#[cfg(feature = "std")]
-use crate::par::ParallelContext;
 use crate::pathnode::SpaceStrategy;
 use crate::result::{DualityResult, NonDualWitness};
 use crate::stats::SpaceReport;
 use crate::tree::{build_tree, BuildOptions};
 use qld_hypergraph::{Hypergraph, VertexSet};
 use qld_logspace::SpaceMeter;
-#[cfg(feature = "std")]
-use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(feature = "std")]
-use std::sync::Arc;
-
-/// One pool subtask probing a root subtree: returns the witness found (if
-/// any), the subtree's peak metered bits, and whether the body actually ran
-/// (a cancelled scope skips queued bodies).
-#[cfg(feature = "std")]
-type SubtreeProbe = Box<dyn FnOnce() -> (Option<VertexSet>, u64, bool) + Send>;
 
 /// A decision procedure for the `DUAL` problem.
 pub trait DualitySolver {
@@ -139,34 +127,12 @@ impl DualitySolver for BorosMakinoTreeSolver {
 pub struct QuadLogspaceSolver {
     /// The space/time trade-off used for node attribute recomputation.
     pub strategy: SpaceStrategy,
-    /// When set, `MaterializeChain` instances whose work size reaches the
-    /// context's threshold split their top-level subtrees into pool subtasks.
-    /// Parallelism needs `std` (thread pools, channels); without the feature
-    /// the solver is the plain sequential traversal.
-    #[cfg(feature = "std")]
-    parallel: Option<ParallelContext>,
 }
 
 impl QuadLogspaceSolver {
     /// Creates a solver with the given strategy.
     pub fn new(strategy: SpaceStrategy) -> Self {
-        QuadLogspaceSolver {
-            strategy,
-            #[cfg(feature = "std")]
-            parallel: None,
-        }
-    }
-
-    /// Enables intra-query parallelism: large `MaterializeChain` instances
-    /// split the root's independent subtrees into subtasks on the context's
-    /// pool.  Results — answer, witness choice, and reported peak space — are
-    /// identical to the sequential traversal at any worker count; see
-    /// `dfs_materialized_split` in this module.  The `Recompute` strategy ignores the
-    /// context and stays faithful to the paper's sequential space narrative.
-    #[cfg(feature = "std")]
-    pub fn with_parallel(mut self, ctx: ParallelContext) -> Self {
-        self.parallel = Some(ctx);
-        self
+        QuadLogspaceSolver { strategy }
     }
 
     /// Decides duality and additionally reports peak metered work-tape usage.
@@ -188,7 +154,11 @@ impl QuadLogspaceSolver {
                         let root = RootOracle::new(&oriented);
                         dfs_recompute(&oriented, &root, &meter)
                     }
-                    SpaceStrategy::MaterializeChain => self.run_materialized(oriented, &meter)?,
+                    SpaceStrategy::MaterializeChain => {
+                        let full = VertexSet::full(oriented.num_vertices());
+                        let root = MaterializedOracle::new(full, &meter);
+                        dfs_materialized(&oriented, &root, &meter)
+                    }
                 };
                 let report = SpaceReport::new(self.strategy, meter.peak_bits(), input_bits);
                 let result = match witness {
@@ -202,44 +172,6 @@ impl QuadLogspaceSolver {
             }
         }
     }
-}
-
-impl QuadLogspaceSolver {
-    /// Runs the `MaterializeChain` traversal, splitting the root's subtrees
-    /// onto the parallel context's pool when one is attached and the instance
-    /// is large enough.  Answer, witness, and reported peak space are
-    /// identical to the sequential traversal (see `dfs_materialized_split`).
-    #[cfg(feature = "std")]
-    fn run_materialized(
-        &self,
-        oriented: DualInstance,
-        meter: &SpaceMeter,
-    ) -> Result<Option<VertexSet>, DualError> {
-        let work = oriented.num_vertices() * (oriented.g().num_edges() + oriented.h().num_edges());
-        match &self.parallel {
-            Some(ctx) if ctx.should_split(work) => {
-                dfs_materialized_split(Arc::new(oriented), meter, ctx)
-            }
-            _ => Ok(run_materialized_seq(&oriented, meter)),
-        }
-    }
-
-    /// Without `std` there is no pool to split onto: always the sequential
-    /// traversal (byte-identical answers either way).
-    #[cfg(not(feature = "std"))]
-    fn run_materialized(
-        &self,
-        oriented: DualInstance,
-        meter: &SpaceMeter,
-    ) -> Result<Option<VertexSet>, DualError> {
-        Ok(run_materialized_seq(&oriented, meter))
-    }
-}
-
-/// The sequential `MaterializeChain` DFS from a fresh root oracle.
-fn run_materialized_seq(oriented: &DualInstance, meter: &SpaceMeter) -> Option<VertexSet> {
-    let root = MaterializedOracle::new(VertexSet::full(oriented.num_vertices()), meter);
-    dfs_materialized(oriented, &root, meter)
 }
 
 impl DualitySolver for QuadLogspaceSolver {
@@ -304,114 +236,6 @@ fn dfs_materialized(
             None
         }
     }
-}
-
-/// DFS in the materializing strategy with the root's subtrees split into pool
-/// subtasks.
-///
-/// The root is classified sequentially; when it branches, its child sets are
-/// materialized in canonical order (on the parent meter, exactly as the
-/// sequential traversal would) and each independent subtree becomes one
-/// subtask.  Determinism at any worker count:
-///
-/// * The answer is the witness of the **lowest-indexed** failing subtree.  A
-///   shared low-water mark (`min_fail`) lets later subtasks skip once an
-///   earlier one has failed, but a subtask only consults it *before* starting —
-///   every subtree with an index below the final minimum therefore ran to
-///   completion and found nothing, exactly like the sequential DFS, so the
-///   returned witness is the sequential witness bit-for-bit.
-/// * The reported peak space models the sequential traversal: each subtask
-///   pre-charges its private meter with the parent's resident bits and the
-///   parent merges only the peaks of subtrees the sequential DFS would have
-///   entered (indices up to the winning one).  Real memory transiently holds
-///   one `S` set per child, but the *metered* narrative — one path at a time —
-///   is preserved and worker-count independent.
-/// * Cancellation is observed at steal boundaries only: queued subtasks are
-///   skipped wholesale, surfacing here as an empty slot, and the traversal
-///   aborts with [`DualError::Interrupted`] rather than invent a
-///   nondeterministic answer.  Started subtasks run their subtree to the end.
-#[cfg(feature = "std")]
-fn dfs_materialized_split(
-    inst: Arc<DualInstance>,
-    meter: &SpaceMeter,
-    ctx: &ParallelContext,
-) -> Result<Option<VertexSet>, DualError> {
-    // Share the arena indexes before fanning out, so subtasks never race to
-    // build them (`OnceLock` would deduplicate, but the work is wasted).
-    inst.g().index();
-    inst.h().index();
-
-    let root = MaterializedOracle::new(VertexSet::full(inst.num_vertices()), meter);
-    let class = classify(&inst, &root, meter);
-    let count = match class {
-        NodeClass::Done => return Ok(None),
-        NodeClass::Fail(rule) => return Ok(Some(materialize_witness(&inst, &root, rule, meter))),
-        NodeClass::Branch(_) => child_count_given(&inst, &root, class, meter),
-    };
-
-    let mut child_sets = Vec::with_capacity(count as usize);
-    for index in 1..=count {
-        child_sets.push(materialize_child(&inst, &root, index, meter).expect("child within count"));
-    }
-
-    // `SpaceMeter` is deliberately not `Send` (it models one work tape), so
-    // each subtask runs on a private meter pre-charged with the parent's
-    // resident bits; the parent folds the subtree peaks back in afterwards.
-    let base_bits = meter.current_bits();
-    let min_fail = Arc::new(AtomicU64::new(u64::MAX));
-    let tasks: Vec<SubtreeProbe> = child_sets
-        .into_iter()
-        .enumerate()
-        .map(|(i, child_set)| {
-            let inst = Arc::clone(&inst);
-            let min_fail = Arc::clone(&min_fail);
-            let index = i as u64 + 1;
-            Box::new(move || {
-                if min_fail.load(Ordering::SeqCst) < index {
-                    // A strictly earlier subtree already failed; the sequential
-                    // DFS would never have entered this one.
-                    return (None, 0, false);
-                }
-                let sub_meter = SpaceMeter::new();
-                sub_meter.charge(base_bits);
-                let witness = {
-                    let child = MaterializedOracle::new(child_set, &sub_meter);
-                    dfs_materialized(&inst, &child, &sub_meter)
-                };
-                sub_meter.free(base_bits);
-                if witness.is_some() {
-                    min_fail.fetch_min(index, Ordering::SeqCst);
-                }
-                (witness, sub_meter.peak_bits(), true)
-            }) as SubtreeProbe
-        })
-        .collect();
-    let slots = ctx.run(tasks);
-    if slots.iter().any(Option::is_none) {
-        return Err(DualError::Interrupted);
-    }
-    let results: Vec<(Option<VertexSet>, u64, bool)> =
-        slots.into_iter().map(Option::unwrap).collect();
-
-    // The sequential DFS visits subtrees 1..=w where w is the first failure
-    // (or all of them when none fails); merge exactly those peaks.
-    let winner = results.iter().position(|(w, _, _)| w.is_some());
-    let visited = winner.map_or(results.len(), |w| w + 1);
-    let extra = results[..visited]
-        .iter()
-        .filter(|(_, _, ran)| *ran)
-        .map(|(_, peak, _)| peak.saturating_sub(base_bits))
-        .max()
-        .unwrap_or(0);
-    meter.charge(extra);
-    meter.free(extra);
-
-    Ok(winner.and_then(|w| {
-        results
-            .into_iter()
-            .nth(w)
-            .and_then(|(witness, _, _)| witness)
-    }))
 }
 
 /// Decides duality with the default (practical) configuration of the paper's solver.
@@ -546,71 +370,6 @@ mod tests {
         assert!(mat_report.peak_bits > 0);
         // The materializing chain pays at least one full |V|-bit set for the root level.
         assert!(mat_report.peak_bits >= li.g.num_vertices() as u64);
-    }
-
-    #[test]
-    fn parallel_split_matches_sequential_bit_for_bit() {
-        #[cfg(feature = "std")]
-        use crate::par::ParallelContext;
-        // Threshold 0 forces the split on every instance; the inline pool makes
-        // it the 1-worker case, which must equal the sequential traversal in
-        // answer, witness choice, and reported peak space.
-        let sequential = QuadLogspaceSolver::new(SpaceStrategy::MaterializeChain);
-        let split = QuadLogspaceSolver::new(SpaceStrategy::MaterializeChain)
-            .with_parallel(ParallelContext::inline(0));
-        for li in generators::standard_corpus() {
-            let (seq_result, seq_report) = sequential.decide_with_space(&li.g, &li.h).unwrap();
-            let (par_result, par_report) = split.decide_with_space(&li.g, &li.h).unwrap();
-            assert_eq!(
-                seq_result, par_result,
-                "answer/witness mismatch on {}",
-                li.name
-            );
-            assert_eq!(
-                seq_report.peak_bits, par_report.peak_bits,
-                "peak-space mismatch on {}",
-                li.name
-            );
-        }
-        // Perturbed (non-dual) instances: the witness must be the sequential one.
-        for k in 2..=3 {
-            let li = generators::matching_instance(k);
-            let broken =
-                generators::perturb(&li, generators::Perturbation::DropDualEdge, 1).unwrap();
-            let seq = sequential.decide(&broken.g, &broken.h).unwrap();
-            let par = split.decide(&broken.g, &broken.h).unwrap();
-            assert_eq!(seq, par);
-            assert!(verify_witness(&broken.g, &broken.h, par.witness().unwrap()));
-        }
-    }
-
-    #[test]
-    fn cancelled_pool_interrupts_split() {
-        use crate::par::{ParallelContext, SubtaskPool, SubtaskScope};
-        use std::sync::Arc;
-        /// A pool whose query is already cancelled: every queued subtask is
-        /// skipped at the (virtual) steal boundary.
-        struct CancelledPool;
-        struct SkipAll;
-        impl SubtaskScope for SkipAll {
-            fn spawn(&mut self, _task: Box<dyn FnOnce() + Send + 'static>) {}
-            fn join(&mut self) {}
-        }
-        impl SubtaskPool for CancelledPool {
-            fn scope(&self) -> Box<dyn SubtaskScope + '_> {
-                Box::new(SkipAll)
-            }
-            fn is_cancelled(&self) -> bool {
-                true
-            }
-        }
-        let solver = QuadLogspaceSolver::new(SpaceStrategy::MaterializeChain)
-            .with_parallel(ParallelContext::new(Arc::new(CancelledPool), 0));
-        let li = generators::matching_instance(3);
-        assert!(matches!(
-            solver.decide(&li.g, &li.h),
-            Err(DualError::Interrupted)
-        ));
     }
 
     #[test]

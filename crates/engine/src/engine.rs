@@ -15,12 +15,14 @@
 //! state machine (`SessionMux`), whether a readiness loop drives it or
 //! [`Engine::serve_with`] drives it from a blocking reader.
 //!
-//! Results are deterministic: the engine only parallelizes *across* requests,
-//! and every request is answered exactly as a direct single-threaded solver
-//! call would answer it.  Response *ordering* is a per-session choice
-//! ([`OrderMode`]): `input` order reorders responses into request order
-//! through a bounded buffer, `arrival` order streams each response the moment
-//! it completes so one slow request never head-of-line-blocks the rest.
+//! Results are deterministic: the engine only parallelizes *across* requests.
+//! Idle workers block on the shared job queue, and each pool job runs start
+//! to finish on the one worker that took it, answered exactly as a direct
+//! single-threaded solver call would answer it.  Response *ordering* is a
+//! per-session choice ([`OrderMode`]): `input` order reorders responses into
+//! request order through a bounded buffer, `arrival` order streams each
+//! response the moment it completes so one slow request never
+//! head-of-line-blocks the rest.
 
 use crate::cache::{CacheStats, CachedResult, QueryCache};
 use crate::fairness::UserBuckets;
@@ -35,16 +37,14 @@ use crate::stream::{
     CancelToken, ChunkFrame, ChunkPayload, ResultSink, SinkDirective, StopReason, StreamEvent,
     StreamItem, StreamProgress,
 };
-use crate::subtask::{EnginePool, SubtaskQueue};
 use crate::wire::{self, OrderMode};
-use qld_core::ParallelContext;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, BufReader, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -70,14 +70,8 @@ pub struct EngineConfig {
     /// or version-mismatched snapshot restores nothing — the engine starts
     /// cold); [`Engine::save_cache_snapshot`] writes it back.
     pub cache_file: Option<PathBuf>,
-    /// Intra-query parallelism threshold (`qld serve --parallel-threshold`),
-    /// in work units `|V| · (|G| + |H|)`.  A duality call at least this large
-    /// splits into work-stealing subtasks on the shared pool; smaller calls
-    /// stay sequential (the split has real coordination cost).  `0` splits
-    /// everything, `usize::MAX` effectively disables splitting.
-    pub parallel_threshold: usize,
     /// In-process ("local") execution threshold (`qld serve
-    /// --local-threshold`), in the same work units.  A one-shot `check`
+    /// --local-threshold`), in work units `|V| · (|G| + |H|)`.  A one-shot `check`
     /// request strictly below it is answered synchronously on the submitting
     /// session's thread through the embedded solver — no pool round-trip, no
     /// cache lookup (and no cache-key render), no cancellation window.  `0`
@@ -93,11 +87,6 @@ pub struct EngineConfig {
     pub coalesce: bool,
 }
 
-/// Default [`EngineConfig::parallel_threshold`]: roughly a 64-vertex instance
-/// with 512 total edges.  Below that, one solver call is cheaper than the
-/// scatter/join round-trip through the subtask queue.
-pub const DEFAULT_PARALLEL_THRESHOLD: usize = 32_768;
-
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
@@ -110,7 +99,6 @@ impl Default for EngineConfig {
             cache_ttl: None,
             policy: Arc::new(SizeThresholdPolicy::default()),
             cache_file: None,
-            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             local_threshold: 0,
             coalesce: true,
         }
@@ -127,7 +115,6 @@ impl std::fmt::Debug for EngineConfig {
             .field("cache_ttl", &self.cache_ttl)
             .field("policy", &self.policy.name())
             .field("cache_file", &self.cache_file)
-            .field("parallel_threshold", &self.parallel_threshold)
             .field("local_threshold", &self.local_threshold)
             .field("coalesce", &self.coalesce)
             .finish()
@@ -349,10 +336,6 @@ struct WorkerCtx {
     cache_restored: bool,
     /// Live load counters (`stats` reporting; shared with the engine).
     counters: Arc<EngineCounters>,
-    /// The engine-wide subtask queue (intra-query work stealing).
-    subtasks: Arc<SubtaskQueue>,
-    /// Work-unit floor above which a duality call splits into subtasks.
-    parallel_threshold: usize,
     /// The single-flight registry (shared with the submission path).
     flights: Arc<FlightTable>,
     /// Whether workers coalesce duplicate cache misses into flights.
@@ -379,9 +362,6 @@ pub struct Engine {
 /// job (see [`Submitter::submit`]).
 pub(crate) struct Submitter {
     job_tx: SyncSender<PoolJob>,
-    /// Poked after each queued job so parked workers wake for fresh jobs,
-    /// not just for subtasks.
-    subtasks: Arc<SubtaskQueue>,
     /// Live load counters (shared with the worker pool for `stats`).
     counters: Arc<EngineCounters>,
     /// The single-flight registry: duplicates attach to in-flight
@@ -450,10 +430,7 @@ impl Submitter {
             })
         };
         match sent {
-            Ok(()) => {
-                self.subtasks.notify_workers();
-                Submitted::Queued
-            }
+            Ok(()) => Submitted::Queued,
             Err(refused) => {
                 self.counters.inflight.fetch_sub(1, Ordering::Relaxed);
                 refused
@@ -497,7 +474,6 @@ impl Engine {
         let (job_tx, job_rx) = mpsc::sync_channel::<PoolJob>(config.queue_capacity.max(1));
         let job_rx = Arc::new(Mutex::new(job_rx));
         let counters = Arc::new(EngineCounters::default());
-        let subtasks = Arc::new(SubtaskQueue::new());
         let flights = Arc::new(FlightTable::new(Arc::clone(&counters)));
         let ctx = Arc::new(WorkerCtx {
             policy: Arc::clone(&config.policy),
@@ -507,8 +483,6 @@ impl Engine {
             started: Instant::now(),
             cache_restored: cache_restored > 0,
             counters: Arc::clone(&counters),
-            subtasks: Arc::clone(&subtasks),
-            parallel_threshold: config.parallel_threshold,
             flights: Arc::clone(&flights),
             coalesce: config.coalesce,
         });
@@ -521,7 +495,6 @@ impl Engine {
             .collect();
         let submit = Submitter {
             job_tx,
-            subtasks,
             counters,
             flights,
             coalesce: config.cache && config.coalesce,
@@ -553,13 +526,11 @@ impl Engine {
         self.cache.stats()
     }
 
-    /// Intra-query subtask counters since startup: `(spawned, stolen)`.
-    /// `spawned` counts every subtask pushed to the shared queue; `stolen`
-    /// counts the ones executed by a worker other than the one that spawned
-    /// them (the rest ran inline on the owning worker at its join point).
+    /// Intra-query subtask counters: always `(0, 0)`.  Every duality call
+    /// runs sequentially on the worker that took its job; the accessor stays
+    /// for callers written against the `subtasks`/`subtasks_stolen` stats.
     pub fn subtask_stats(&self) -> (u64, u64) {
-        let subtasks = &self.submitter().subtasks;
-        (subtasks.spawned(), subtasks.stolen())
+        (0, 0)
     }
 
     /// Single-flight counters since startup: `(flights_led, coalesced)`.
@@ -1296,23 +1267,6 @@ enum Emission {
     Ordered(u64),
 }
 
-/// How long one worker holds the job-queue receiver per poll.  This bounds
-/// how stale an idle worker's view of the *subtask* queue can get: a split
-/// pushed while every idle worker is inside a poll is picked up within one
-/// timeout (pushes also notify the subtask condvar, so parked non-holders
-/// wake immediately — the timeout is the backstop for the lock holder).
-const JOB_POLL: Duration = Duration::from_millis(2);
-
-/// The persistent worker body, until the engine hangs up the queue: steal
-/// and run intra-query subtasks, then poll the job queue, then execute one
-/// job, around again.
-///
-/// Subtasks are drained *first*: they subdivide queries the pool already
-/// accepted, so finishing them beats starting new work — and an idle sibling
-/// picking them up is the entire point of splitting.  Only one worker at a
-/// time polls the shared job receiver (`try_lock`); the others park on the
-/// subtask condvar so neither jobs nor subtasks are ever left waiting on a
-/// busy loop.
 /// Answers a local-routed query inline on the calling (session) thread.
 ///
 /// This is the in-process fast path of [`ExecRoute::Local`]: the same
@@ -1384,37 +1338,25 @@ fn local_response(
     }
 }
 
+/// The persistent worker body: take one job off the shared queue, answer
+/// it, and around again until the engine hangs up the queue.
+///
+/// Idle workers block, never poll: one holds the receiver lock and waits in
+/// `recv`, the rest wait on the lock.  A poisoned lock (another worker
+/// panicked mid-dequeue) is recovered, since losing one worker must not kill
+/// the pool.
 fn worker_loop(ctx: &WorkerCtx, jobs: &Mutex<Receiver<PoolJob>>, worker_index: usize) {
     loop {
-        ctx.subtasks.drain_steal();
-        // A poisoned lock (another worker panicked mid-dequeue) is
-        // recovered: losing one worker must not kill the pool.
-        let polled = match jobs.try_lock() {
-            Ok(receiver) => receiver.recv_timeout(JOB_POLL),
-            Err(std::sync::TryLockError::Poisoned(poisoned)) => {
-                poisoned.into_inner().recv_timeout(JOB_POLL)
-            }
-            Err(std::sync::TryLockError::WouldBlock) => {
-                // Another worker is polling for jobs; park until a subtask
-                // or a job submission pokes the condvar.
-                ctx.subtasks.wait_for_work(JOB_POLL);
-                continue;
-            }
-        };
-        match polled {
-            Ok(job) => {
-                // `None` means the job attached to an identical in-flight
-                // execution as a follower: the flight delivers its terminal
-                // and settles the in-flight gauge.
-                if let Some(response) = answer(ctx, worker_index, &job) {
-                    // A receiver that hung up (aborted session) just
-                    // discards the answer.
-                    let _ = job.reply.send(StreamEvent::Done(response));
-                    ctx.counters.job_finished();
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
+        let received = jobs.lock().unwrap_or_else(PoisonError::into_inner).recv();
+        let Ok(job) = received else { break };
+        // `None` means the job attached to an identical in-flight execution
+        // as a follower: the flight delivers its terminal and settles the
+        // in-flight gauge.
+        if let Some(response) = answer(ctx, worker_index, &job) {
+            // A receiver that hung up (aborted session) just discards the
+            // answer.
+            let _ = job.reply.send(StreamEvent::Done(response));
+            ctx.counters.job_finished();
         }
     }
 }
@@ -1457,8 +1399,6 @@ fn answer(ctx: &WorkerCtx, worker_index: usize, job: &PoolJob) -> Option<Respons
                 sessions: ctx.counters.sessions.load(Ordering::Relaxed),
                 connections: ctx.counters.connections.load(Ordering::Relaxed),
                 throttled: ctx.counters.throttled.load(Ordering::Relaxed),
-                subtasks: ctx.subtasks.spawned(),
-                subtasks_stolen: ctx.subtasks.stolen(),
                 flights: ctx.flights.led(),
                 coalesced: ctx.flights.coalesced(),
             }),
@@ -1646,17 +1586,6 @@ fn process_one(
         }
         None => ctx.policy.as_ref(),
     };
-    // Large duality calls may split into work-stealing subtasks on the
-    // shared pool; the job's cancel token doubles as the split's
-    // cancellation signal, so queued subtasks of a cancelled query are
-    // skipped at the steal boundary.
-    let parallel = ParallelContext::new(
-        Arc::new(EnginePool::new(
-            Arc::clone(&ctx.subtasks),
-            job.cancel.clone(),
-        )),
-        ctx.parallel_threshold,
-    );
     let mut solo_sink = WorkerSink::new(job, request.kind());
     let mut flight_sink = lease
         .as_ref()
@@ -1665,7 +1594,7 @@ fn process_one(
         Some(sink) => sink,
         None => &mut solo_sink,
     };
-    let execution = ops::execute_streaming_with(request, policy, Some(&parallel), sink);
+    let execution = ops::execute_streaming(request, policy, sink);
     let halted = execution.halt;
     let info = execution.info;
     let outcome = execution.outcome.map_err(|message| match halted {
@@ -2092,11 +2021,12 @@ keys 1,2;1,3
     }
 
     #[test]
-    fn intra_query_splits_show_up_in_stats() {
+    fn stats_report_zero_subtasks_after_a_quadlog_check() {
+        // `subtasks`/`subtasks_stolen` stay on the `proto 2` stats line, and
+        // read 0 now that every duality call runs on one worker.
         let eng = Engine::new(EngineConfig {
             workers: 2,
             cache: false,
-            parallel_threshold: 0, // split every routed duality call
             ..EngineConfig::default()
         });
         let li = generators::matching_instance(3);
@@ -2119,28 +2049,18 @@ keys 1,2;1,3
         let text = String::from_utf8(out).unwrap();
         let stats_line = text.trim_end();
         assert!(stats_line.contains("\"kind\":\"stats\""), "{stats_line}");
-        let spawned = stats_line
-            .split("\"subtasks\":")
-            .nth(1)
-            .and_then(|rest| {
-                rest.chars()
-                    .take_while(char::is_ascii_digit)
-                    .collect::<String>()
-                    .parse::<u64>()
-                    .ok()
-            })
-            .expect("stats must carry a subtasks counter");
+        assert!(stats_line.contains("\"subtasks\":0,"), "{stats_line}");
         assert!(
-            spawned > 0,
-            "a threshold-0 quadlog check must have split: {stats_line}"
+            stats_line.contains("\"subtasks_stolen\":0,"),
+            "{stats_line}"
         );
-        assert!(stats_line.contains("\"subtasks_stolen\":"), "{stats_line}");
+        assert_eq!(eng.subtask_stats(), (0, 0));
     }
 
     #[test]
     fn parallel_answers_are_identical_across_worker_counts() {
-        // The determinism contract survives intra-query splitting: any worker
-        // count, same outcomes — including the non-duality witness.
+        // The determinism contract: any worker count, same outcomes —
+        // including the non-duality witness.
         let mut requests = Vec::new();
         for k in [3, 4] {
             let li = generators::matching_instance(k);
@@ -2161,7 +2081,6 @@ keys 1,2;1,3
             let eng = Engine::new(EngineConfig {
                 workers,
                 cache: false,
-                parallel_threshold: 0,
                 policy: Arc::new(FixedPolicy(SolverKind::QuadChain)),
                 ..EngineConfig::default()
             });

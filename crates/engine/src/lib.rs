@@ -81,17 +81,15 @@ pub mod request;
 pub mod response;
 pub mod snapshot;
 pub mod stream;
-pub(crate) mod subtask;
 pub mod transport;
 pub mod wire;
 
 pub use cache::CacheStats;
 pub use engine::{
     Engine, EngineConfig, ServeOptions, ServeSummary, StreamHandle, StreamRunOptions,
-    DEFAULT_PARALLEL_THRESHOLD,
 };
 pub use fairness::{Bucket, UserBuckets};
-pub use ops::{enumerate_transversals_with, execute_streaming, execute_streaming_with, Execution};
+pub use ops::{enumerate_transversals_with, execute_streaming, Execution};
 pub use policy::{
     exec_route, ExecRoute, FixedPolicy, SizeThresholdPolicy, SolverKind, SolverPolicy,
 };

@@ -21,7 +21,7 @@ use crate::stream::{
 use qld_core::pathnode::SpaceStrategy;
 use qld_core::{
     BorosMakinoTreeSolver, DualError, DualityResult, DualitySolver, NonDualWitness,
-    ParallelContext, QuadLogspaceSolver,
+    QuadLogspaceSolver,
 };
 use qld_datamining::{
     identify_with, AdvanceLoop, AdvanceStep, Identification, IdentificationInstance,
@@ -46,15 +46,9 @@ pub struct ExecInfo {
 /// space.  One instance lives per request, on the worker that executes it.
 pub struct PolicySolver<'p> {
     policy: &'p dyn SolverPolicy,
-    /// Intra-query parallelism handle: duality calls routed to the
-    /// materialize-chain solver split into subtasks above its threshold.
-    parallel: Option<ParallelContext>,
     used: RefCell<Vec<SolverKind>>,
     peak_bits: Cell<u64>,
     calls: Cell<u64>,
-    /// Whether any duality call was interrupted by cancellation mid-split —
-    /// the request must then answer "cancelled", never cache.
-    interrupted: Cell<bool>,
 }
 
 impl<'p> PolicySolver<'p> {
@@ -62,24 +56,10 @@ impl<'p> PolicySolver<'p> {
     pub fn new(policy: &'p dyn SolverPolicy) -> Self {
         PolicySolver {
             policy,
-            parallel: None,
             used: RefCell::new(Vec::new()),
             peak_bits: Cell::new(0),
             calls: Cell::new(0),
-            interrupted: Cell::new(false),
         }
-    }
-
-    /// Enables intra-query parallelism for the calls this solver routes.
-    pub fn with_parallel(mut self, parallel: ParallelContext) -> Self {
-        self.parallel = Some(parallel);
-        self
-    }
-
-    /// Whether a duality call was cut short by cancellation at a subtask
-    /// steal boundary ([`DualError::Interrupted`]).
-    pub fn interrupted(&self) -> bool {
-        self.interrupted.get()
     }
 
     /// The telemetry gathered so far.
@@ -117,7 +97,7 @@ impl DualitySolver for PolicySolver<'_> {
         let kind = self.policy.choose(g, h);
         self.record(kind);
         self.calls.set(self.calls.get() + 1);
-        let result = match kind {
+        match kind {
             SolverKind::BmTree => BorosMakinoTreeSolver::new().decide(g, h),
             SolverKind::QuadChain | SolverKind::QuadRecompute => {
                 let strategy = if kind == SolverKind::QuadChain {
@@ -125,26 +105,15 @@ impl DualitySolver for PolicySolver<'_> {
                 } else {
                     SpaceStrategy::Recompute
                 };
-                let mut solver = QuadLogspaceSolver::new(strategy);
-                // Only the materialize-chain strategy has independent
-                // top-level subtrees to fan out; the faithful recompute
-                // strategy stays sequential.
-                if kind == SolverKind::QuadChain {
-                    if let Some(parallel) = &self.parallel {
-                        solver = solver.with_parallel(parallel.clone());
-                    }
-                }
-                solver.decide_with_space(g, h).map(|(result, report)| {
-                    self.peak_bits
-                        .set(self.peak_bits.get().max(report.peak_bits));
-                    result
-                })
+                QuadLogspaceSolver::new(strategy)
+                    .decide_with_space(g, h)
+                    .map(|(result, report)| {
+                        self.peak_bits
+                            .set(self.peak_bits.get().max(report.peak_bits));
+                        result
+                    })
             }
-        };
-        if matches!(result, Err(DualError::Interrupted)) {
-            self.interrupted.set(true);
         }
-        result
     }
 }
 
@@ -184,17 +153,7 @@ fn enumerate_transversals_streaming(
         if let SinkDirective::Stop(reason) = sink.check() {
             return Ok((known, LoopEnd::Halted(reason)));
         }
-        let decision = match solver.decide(&g, &known) {
-            Ok(decision) => decision,
-            // A split interrupted by cancellation mid-decide: answer with the
-            // prefix found so far, exactly like a cancellation observed at
-            // the yield boundary above.
-            Err(DualError::Interrupted) => {
-                return Ok((known, LoopEnd::Halted(StopReason::Cancelled)))
-            }
-            Err(e) => return Err(e),
-        };
-        match decision {
+        match solver.decide(&g, &known)? {
             DualityResult::Dual => return Ok((known, LoopEnd::Complete)),
             DualityResult::NotDual(witness) => {
                 let candidate = match witness {
@@ -325,24 +284,7 @@ pub fn execute_streaming(
     policy: &dyn SolverPolicy,
     sink: &mut dyn ResultSink,
 ) -> Execution {
-    execute_streaming_with(request, policy, None, sink)
-}
-
-/// [`execute_streaming`] with optional intra-query parallelism: duality
-/// calls large enough to clear the context's threshold split into subtasks
-/// on its pool.  A split interrupted by cancellation at a steal boundary
-/// answers exactly like a cancellation observed at a yield boundary —
-/// `halt: cancelled`, partial results where the op keeps them, never cached.
-pub fn execute_streaming_with(
-    request: &Request,
-    policy: &dyn SolverPolicy,
-    parallel: Option<&ParallelContext>,
-    sink: &mut dyn ResultSink,
-) -> Execution {
-    let mut solver = PolicySolver::new(policy);
-    if let Some(parallel) = parallel {
-        solver = solver.with_parallel(parallel.clone());
-    }
+    let solver = PolicySolver::new(policy);
     // A job cancelled while it sat in the queue (its session vanished, or a
     // `cancel` raced ahead of the worker) is dropped before any solver work.
     // Only *cancellation* pre-empts execution here: an exhausted item quota
@@ -356,13 +298,7 @@ pub fn execute_streaming_with(
             halt: Some(StopReason::Cancelled),
         };
     }
-    let (outcome, mut halt) = execute_inner(request, &solver, sink);
-    // An interrupted split means the query was cancelled mid-decide: classify
-    // the stop as a cancellation even when the op surfaced it as a plain
-    // error, so the engine answers `cancelled` and never caches it.
-    if solver.interrupted() && halt.is_none() {
-        halt = Some(StopReason::Cancelled);
-    }
+    let (outcome, halt) = execute_inner(request, &solver, sink);
     Execution {
         outcome,
         info: solver.info(),
@@ -576,15 +512,6 @@ fn mine_borders_streaming(
                 if let SinkDirective::Stop(reason) = directive {
                     return (Ok(full_borders(&advance, false)), Some(reason));
                 }
-            }
-            // An identification call interrupted by cancellation mid-split:
-            // answer with the borders advanced so far, like a cancellation
-            // observed at the yield boundary.
-            Err(_) if solver.interrupted() => {
-                return (
-                    Ok(full_borders(&advance, false)),
-                    Some(StopReason::Cancelled),
-                )
             }
             Err(e) => return (Err(e.to_string()), None),
         }

@@ -114,13 +114,6 @@ pub enum Outcome {
         /// Requests rejected at admission by the per-user token bucket
         /// (`auth=` + `--user-rate`/`--user-burst`) since the engine started.
         throttled: u64,
-        /// Intra-query subtasks spawned since startup: how often large
-        /// duality calls split across the pool (`--parallel-threshold`).
-        subtasks: u64,
-        /// Subtasks picked up by a worker other than the query's owner.  The
-        /// remainder ran inline on the owning worker — always the case on a
-        /// single-worker pool.
-        subtasks_stolen: u64,
         /// Coalesced flights led since startup: cache misses that executed
         /// with the single-flight layer engaged (each could have absorbed
         /// duplicates).
@@ -392,8 +385,6 @@ impl Response {
                         sessions,
                         connections,
                         throttled,
-                        subtasks,
-                        subtasks_stolen,
                         flights,
                         coalesced,
                     } => {
@@ -406,8 +397,10 @@ impl Response {
                         o.uint("sessions", *sessions as u128);
                         o.uint("connections", *connections as u128);
                         o.uint("throttled", *throttled as u128);
-                        o.uint("subtasks", *subtasks as u128);
-                        o.uint("subtasks_stolen", *subtasks_stolen as u128);
+                        // Kept for `proto 2` readers; duality calls no
+                        // longer split into subtasks, so both read 0.
+                        o.uint("subtasks", 0);
+                        o.uint("subtasks_stolen", 0);
                         o.uint("flights", *flights as u128);
                         o.uint("coalesced", *coalesced as u128);
                         let mut co = ObjectBuilder::new();
@@ -561,8 +554,6 @@ mod tests {
                 sessions: 2,
                 connections: 6,
                 throttled: 9,
-                subtasks: 12,
-                subtasks_stolen: 8,
                 flights: 4,
                 coalesced: 11,
             }),
@@ -579,8 +570,8 @@ mod tests {
         assert!(line.contains("\"sessions\":2"));
         assert!(line.contains("\"connections\":6"));
         assert!(line.contains("\"throttled\":9"));
-        assert!(line.contains("\"subtasks\":12"));
-        assert!(line.contains("\"subtasks_stolen\":8"));
+        assert!(line.contains("\"subtasks\":0"));
+        assert!(line.contains("\"subtasks_stolen\":0"));
         assert!(line.contains("\"flights\":4"));
         assert!(line.contains("\"coalesced\":11"));
         assert!(line.contains(

@@ -665,8 +665,6 @@ mod tests {
             sessions: 0,
             connections: 0,
             throttled: 0,
-            subtasks: 0,
-            subtasks_stolen: 0,
             flights: 0,
             coalesced: 0,
         });

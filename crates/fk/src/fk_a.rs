@@ -15,22 +15,10 @@
 //! conditional probabilities.
 
 use crate::counterexample::witness_from_assignment;
-#[cfg(feature = "std")]
-use alloc::boxed::Box;
 use alloc::vec;
 use alloc::vec::Vec;
-#[cfg(feature = "std")]
-use qld_core::ParallelContext;
 use qld_core::{DualError, DualInstance, DualityResult, DualitySolver};
 use qld_hypergraph::{Hypergraph, Vertex, VertexSet};
-
-/// The parallel-context handle threaded through the recursion.  Without `std`
-/// no context can exist, so the stand-in is an uninhabited type and the
-/// `Option` is always `None`.
-#[cfg(feature = "std")]
-type ParCtx = ParallelContext;
-#[cfg(not(feature = "std"))]
-type ParCtx = core::convert::Infallible;
 
 /// Statistics of one Fredman–Khachiyan run (used by the experiment harness).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -42,28 +30,13 @@ pub struct FkStats {
 }
 
 /// The Fredman–Khachiyan algorithm A as a [`DualitySolver`].
-#[derive(Debug, Clone, Default)]
-pub struct FkASolver {
-    /// When set, the top-level self-duality split runs its two independent
-    /// subproblems as pool subtasks (both to completion, results merged in
-    /// subproblem order, so the counterexample and statistics are
-    /// deterministic at any worker count).  Parallelism needs `std` (pools,
-    /// channels); without the feature the recursion is purely sequential.
-    #[cfg(feature = "std")]
-    parallel: Option<ParallelContext>,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FkASolver;
 
 impl FkASolver {
     /// Creates the solver.
     pub fn new() -> Self {
-        FkASolver::default()
-    }
-
-    /// Enables intra-query parallelism for the top-level split.
-    #[cfg(feature = "std")]
-    pub fn with_parallel(mut self, ctx: ParallelContext) -> Self {
-        self.parallel = Some(ctx);
-        self
+        FkASolver
     }
 
     /// Decides duality and also returns recursion statistics.
@@ -75,11 +48,7 @@ impl FkASolver {
         // Validation (simplicity, common universe) is shared with the other solvers.
         let inst = DualInstance::new(g.clone(), h.clone())?;
         let mut stats = FkStats::default();
-        #[cfg(feature = "std")]
-        let par = self.parallel.as_ref();
-        #[cfg(not(feature = "std"))]
-        let par = None;
-        let counterexample = fk_counterexample(inst.g(), inst.h(), 0, &mut stats, par)?;
+        let counterexample = fk_counterexample(inst.g(), inst.h(), 0, &mut stats);
         let result = match counterexample {
             None => DualityResult::Dual,
             Some(t) => {
@@ -102,22 +71,14 @@ impl DualitySolver for FkASolver {
     }
 }
 
-/// Core recursion: returns `Ok(None)` if `(f, g)` are dual, otherwise a counterexample
+/// Core recursion: returns `None` if `(f, g)` are dual, otherwise a counterexample
 /// assignment `t` with `f(t) = g(¬t)`.
-///
-/// `par` is consulted only at depth 0: when set and the instance is large
-/// enough, the two subproblems of the frequent-variable split run as pool
-/// subtasks (see [`split_parallel`]); `Err(DualError::Interrupted)` means the
-/// pool skipped them because the owning query was cancelled.  Recursive calls
-/// always pass `None`, so the subtrees themselves are sequential and the
-/// function is infallible below the root.
 fn fk_counterexample(
     f: &Hypergraph,
     g: &Hypergraph,
     depth: usize,
     stats: &mut FkStats,
-    par: Option<&ParCtx>,
-) -> Result<Option<VertexSet>, DualError> {
+) -> Option<VertexSet> {
     stats.calls += 1;
     stats.max_depth = stats.max_depth.max(depth);
     let n = f.num_vertices().max(g.num_vertices());
@@ -128,24 +89,24 @@ fn fk_counterexample(
     if f.is_empty() {
         // f ≡ false is dual exactly to g ≡ true.
         return if g.has_empty_edge() {
-            Ok(None)
+            None
         } else {
-            Ok(Some(VertexSet::full(n))) // f(V)=0, g(∅)=0
+            Some(VertexSet::full(n)) // f(V)=0, g(∅)=0
         };
     }
     if g.is_empty() {
         return if f.has_empty_edge() {
-            Ok(None)
+            None
         } else {
-            Ok(Some(VertexSet::empty(n))) // f(∅)=0, g(V)=0
+            Some(VertexSet::empty(n)) // f(∅)=0, g(V)=0
         };
     }
     if f.has_empty_edge() {
         // f ≡ true; dual iff g ≡ false, i.e. g empty — but g is non-empty here.
-        return Ok(Some(VertexSet::empty(n))); // f(∅)=1, g(V)=1
+        return Some(VertexSet::empty(n)); // f(∅)=1, g(V)=1
     }
     if g.has_empty_edge() {
-        return Ok(Some(VertexSet::full(n))); // f(V)=1, g(∅)=1
+        return Some(VertexSet::full(n)); // f(V)=1, g(∅)=1
     }
 
     // --- cross-intersection ------------------------------------------------------
@@ -164,7 +125,7 @@ fn fk_counterexample(
             // T = V − B: f(T) ⊇ A → 1, g(¬T) = g(B) ⊇ B → 1.
             let mut b_full = g.edge(b).clone();
             b_full.grow(n);
-            return Ok(Some(b_full.complement(n)));
+            return Some(b_full.complement(n));
         }
     }
 
@@ -176,17 +137,17 @@ fn fk_counterexample(
         .map(|e| pow_half(e.len()))
         .sum();
     if volume < 1.0 {
-        return Ok(Some(conditional_probabilities_counterexample(&f, &g, n)));
+        return Some(conditional_probabilities_counterexample(&f, &g, n));
     }
 
     // --- small base cases ----------------------------------------------------------
     if f.num_edges() <= 2 {
-        return Ok(small_side_counterexample(&f, &g, n));
+        return small_side_counterexample(&f, &g, n);
     }
     if g.num_edges() <= 2 {
         // Duality is symmetric; a counterexample for (g, f) complements into one for
         // (f, g): g(t) = f(¬t) implies f(¬t) = g(¬(¬t)).
-        return Ok(small_side_counterexample(&g, &f, n).map(|t| t.complement(n)));
+        return small_side_counterexample(&g, &f, n).map(|t| t.complement(n));
     }
 
     // --- split on the most frequent variable ---------------------------------------
@@ -194,92 +155,24 @@ fn fk_counterexample(
     let (f0, f1) = split(&f, x, n);
     let (g0, g1) = split(&g, x, n);
 
-    #[cfg(feature = "std")]
-    if depth == 0 {
-        if let Some(ctx) = par {
-            let work = n * (f.num_edges() + g.num_edges());
-            if ctx.should_split(work) {
-                return split_parallel(ctx, n, x, f0, f1, g0, g1, stats);
-            }
-        }
-    }
-    #[cfg(not(feature = "std"))]
-    let _ = (depth, par);
-
     // (i) f₀ dual to g₀ ∨ g₁ ?
     let g01 = union_minimized(&g0, &g1, n);
-    if let Some(y) = fk_counterexample(&f0, &g01, depth + 1, stats, None)? {
+    if let Some(y) = fk_counterexample(&f0, &g01, depth + 1, stats) {
         // lift: x := 0 (y never contains x because neither sub-formula mentions it).
         let mut z = y;
         z.remove(Vertex::from(x));
-        return Ok(Some(z));
+        return Some(z);
     }
     // (ii) f₀ ∨ f₁ dual to g₀ ?
     let f01 = union_minimized(&f0, &f1, n);
-    if let Some(y) = fk_counterexample(&f01, &g0, depth + 1, stats, None)? {
+    if let Some(y) = fk_counterexample(&f01, &g0, depth + 1, stats) {
         // lift: x := 1.
         let mut z = y;
         z.grow(n);
         z.insert(Vertex::from(x));
-        return Ok(Some(z));
+        return Some(z);
     }
-    Ok(None)
-}
-
-/// Runs the two subproblems of the top-level frequent-variable split as pool
-/// subtasks.  Both run to completion (no early abort), each on its own
-/// statistics, and the merge prefers subproblem (i)'s counterexample — so the
-/// returned assignment matches the sequential recursion and the merged
-/// statistics are identical at any worker count.
-#[cfg(feature = "std")]
-#[allow(clippy::too_many_arguments)]
-fn split_parallel(
-    ctx: &ParallelContext,
-    n: usize,
-    x: usize,
-    f0: Hypergraph,
-    f1: Hypergraph,
-    g0: Hypergraph,
-    g1: Hypergraph,
-    stats: &mut FkStats,
-) -> Result<Option<VertexSet>, DualError> {
-    let g01 = union_minimized(&g0, &g1, n);
-    let f01 = union_minimized(&f0, &f1, n);
-    type SubResult = (Option<VertexSet>, FkStats);
-    let task = |a: Hypergraph, b: Hypergraph| -> Box<dyn FnOnce() -> SubResult + Send> {
-        Box::new(move || {
-            let mut sub = FkStats::default();
-            let w = fk_counterexample(&a, &b, 1, &mut sub, None)
-                .expect("sequential recursion cannot be interrupted");
-            (w, sub)
-        })
-    };
-    let slots = ctx.run(vec![task(f0, g01), task(f01, g0)]);
-    let mut results = Vec::with_capacity(2);
-    for slot in slots {
-        match slot {
-            Some(r) => results.push(r),
-            None => return Err(DualError::Interrupted),
-        }
-    }
-    let (w1, s1) = results.pop().expect("two subtasks");
-    let (w0, s0) = results.pop().expect("two subtasks");
-    stats.calls += s0.calls + s1.calls;
-    stats.max_depth = stats.max_depth.max(s0.max_depth).max(s1.max_depth);
-    if let Some(y) = w0 {
-        // lift: x := 0.
-        let mut z = y;
-        z.remove(Vertex::from(x));
-        return Ok(Some(z));
-    }
-    if let Some(y) = w1 {
-        // lift: x := 1.
-        let mut z = y;
-        z.grow(n);
-        z.insert(Vertex::from(x));
-        return Ok(Some(z));
-    }
-    Ok(None)
+    None
 }
 
 /// Splits a DNF on variable `x`: returns `(f₀, f₁)` with `f = x·f₁ ∨ f₀`.
@@ -450,8 +343,7 @@ mod tests {
                 let broken =
                     generators::perturb(&li, generators::Perturbation::DropDualEdge, drop).unwrap();
                 let mut stats = FkStats::default();
-                let t = fk_counterexample(&broken.g, &broken.h, 0, &mut stats, None)
-                    .unwrap()
+                let t = fk_counterexample(&broken.g, &broken.h, 0, &mut stats)
                     .expect("perturbed instance must have a counterexample");
                 assert!(is_counterexample(&broken.g, &broken.h, &t));
                 assert!(stats.calls >= 1);
@@ -482,9 +374,7 @@ mod tests {
         let t = conditional_probabilities_counterexample(&f, &g, 8);
         assert!(is_counterexample(&f, &g, &t));
         let mut stats = FkStats::default();
-        let found = fk_counterexample(&f, &g, 0, &mut stats, None)
-            .unwrap()
-            .unwrap();
+        let found = fk_counterexample(&f, &g, 0, &mut stats).unwrap();
         assert!(is_counterexample(&f, &g, &found));
     }
 
@@ -505,62 +395,6 @@ mod tests {
                 assert!(!solver.is_dual(&g, &broken).unwrap());
                 assert!(!are_dual_exact(&broken, &g));
             }
-        }
-    }
-
-    /// A scope that really runs each subtask on its own OS thread — test-only;
-    /// the serving path injects subtasks into the engine's persistent pool.
-    struct ThreadPool;
-    struct ThreadScope {
-        handles: Vec<std::thread::JoinHandle<()>>,
-    }
-    impl qld_core::SubtaskScope for ThreadScope {
-        fn spawn(&mut self, task: Box<dyn FnOnce() + Send + 'static>) {
-            self.handles.push(std::thread::spawn(task));
-        }
-        fn join(&mut self) {
-            for h in self.handles.drain(..) {
-                h.join().expect("subtask panicked");
-            }
-        }
-    }
-    impl qld_core::SubtaskPool for ThreadPool {
-        fn scope(&self) -> Box<dyn qld_core::SubtaskScope + '_> {
-            Box::new(ThreadScope {
-                handles: Vec::new(),
-            })
-        }
-        fn is_cancelled(&self) -> bool {
-            false
-        }
-    }
-
-    #[test]
-    fn parallel_split_matches_sequential_answers() {
-        let sequential = FkASolver::new();
-        // Threshold 0 forces the split whenever the recursion reaches it; the
-        // inline pool (1 worker) and a real thread pool must both reproduce the
-        // sequential answer and witness, and agree on stats with each other.
-        let inline = FkASolver::new().with_parallel(ParallelContext::inline(0));
-        let threaded = FkASolver::new()
-            .with_parallel(ParallelContext::new(std::sync::Arc::new(ThreadPool), 0));
-        for li in generators::standard_corpus() {
-            let seq = sequential.decide(&li.g, &li.h).unwrap();
-            let (inl, inl_stats) = inline.decide_with_stats(&li.g, &li.h).unwrap();
-            let (thr, thr_stats) = threaded.decide_with_stats(&li.g, &li.h).unwrap();
-            assert_eq!(seq, inl, "inline split diverged on {}", li.name);
-            assert_eq!(seq, thr, "threaded split diverged on {}", li.name);
-            assert_eq!(inl_stats, thr_stats, "stats diverged on {}", li.name);
-        }
-        for k in 2..=4 {
-            let li = generators::matching_instance(k);
-            let broken =
-                generators::perturb(&li, generators::Perturbation::DropDualEdge, 1).unwrap();
-            let seq = sequential.decide(&broken.g, &broken.h).unwrap();
-            let inl = inline.decide(&broken.g, &broken.h).unwrap();
-            let thr = threaded.decide(&broken.g, &broken.h).unwrap();
-            assert_eq!(seq, inl);
-            assert_eq!(seq, thr);
         }
     }
 

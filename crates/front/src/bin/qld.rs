@@ -53,11 +53,6 @@ USAGE:
 
 OPTIONS:
   --workers N          worker threads (default: available parallelism, cap 8)
-  --parallel-threshold N
-                       split a duality call into work-stealing subtasks on
-                       the shared pool once its work size |V|*(|G|+|H|)
-                       reaches N (default 32768; 0 = always split, a huge N
-                       disables intra-query parallelism)
   --local-threshold N  answer a one-shot check request inline on its session
                        thread (no pool round-trip, no cache) when its work
                        size |V|*(|G|+|H|) is below N (default 0 = disabled)
@@ -154,7 +149,6 @@ fn main() -> ExitCode {
 /// Options shared by all subcommands.
 struct Options {
     workers: Option<usize>,
-    parallel_threshold: Option<usize>,
     local_threshold: Option<usize>,
     queue: usize,
     cache: bool,
@@ -190,7 +184,6 @@ struct Options {
 fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         workers: None,
-        parallel_threshold: None,
         local_threshold: None,
         queue: 256,
         cache: true,
@@ -232,12 +225,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         };
         match arg.as_str() {
             "--workers" => opts.workers = Some(parse_num(&value_of("--workers")?, "--workers")?),
-            "--parallel-threshold" => {
-                opts.parallel_threshold = Some(parse_num(
-                    &value_of("--parallel-threshold")?,
-                    "--parallel-threshold",
-                )?)
-            }
             "--local-threshold" => {
                 opts.local_threshold = Some(parse_num(
                     &value_of("--local-threshold")?,
@@ -366,9 +353,6 @@ fn engine_from(opts: &Options) -> Engine {
         cache_ttl: opts.cache_ttl,
         policy,
         cache_file: opts.cache_file.as_ref().map(std::path::PathBuf::from),
-        parallel_threshold: opts
-            .parallel_threshold
-            .unwrap_or(defaults.parallel_threshold),
         local_threshold: opts.local_threshold.unwrap_or(defaults.local_threshold),
     })
 }

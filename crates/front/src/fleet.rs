@@ -4,7 +4,7 @@
 use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -48,14 +48,44 @@ pub struct Fleet {
     spec: ShardSpec,
     probe_interval: Duration,
     drain_timeout: Duration,
-    /// Set once by [`Fleet::shutdown`]; `stop_requested` wakes the
-    /// supervisor out of its probe-interval wait.
-    stop: Mutex<bool>,
-    stop_requested: Condvar,
+    /// Raised once by [`Fleet::shutdown`]; shared with the supervisor
+    /// thread, which waits on it between ticks.
+    stop: Arc<StopSignal>,
     /// Serializes fleet mutations (respawn, rolling restart, shutdown)
     /// against the supervisor tick.
     admin: Mutex<()>,
     supervisor: Mutex<Option<JoinHandle<()>>>,
+}
+
+/// The fleet's stop flag and the condvar that wakes the supervisor out of
+/// its probe-interval wait.  It lives apart from the [`Fleet`] so the
+/// supervisor can wait on it without keeping the fleet alive.
+#[derive(Default)]
+struct StopSignal {
+    stopped: Mutex<bool>,
+    wake: Condvar,
+}
+
+impl StopSignal {
+    fn raise(&self) {
+        *lock_ignoring_poison(&self.stopped) = true;
+        self.wake.notify_all();
+    }
+
+    fn is_raised(&self) -> bool {
+        *lock_ignoring_poison(&self.stopped)
+    }
+
+    /// Sleeps for `period` unless the signal is raised first; returns
+    /// whether it is raised.
+    fn pause(&self, period: Duration) -> bool {
+        let stopped = lock_ignoring_poison(&self.stopped);
+        let (stopped, _) = self
+            .wake
+            .wait_timeout_while(stopped, period, |stopped| !*stopped)
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        *stopped
+    }
 }
 
 impl Fleet {
@@ -90,15 +120,16 @@ impl Fleet {
             spec: config.spec,
             probe_interval: config.probe_interval,
             drain_timeout: config.drain_timeout,
-            stop: Mutex::new(false),
-            stop_requested: Condvar::new(),
+            stop: Arc::default(),
             admin: Mutex::new(()),
             supervisor: Mutex::new(None),
         });
-        let worker = Arc::clone(&fleet);
+        let weak = Arc::downgrade(&fleet);
+        let stop = Arc::clone(&fleet.stop);
+        let period = fleet.probe_interval;
         let handle = std::thread::Builder::new()
             .name("fleet-supervisor".into())
-            .spawn(move || worker.supervise())
+            .spawn(move || supervise(&weak, &stop, period))
             .expect("spawn supervisor thread");
         *lock_ignoring_poison(&fleet.supervisor) = Some(handle);
         Ok(fleet)
@@ -173,11 +204,14 @@ impl Fleet {
     /// `drain_timeout` has passed.
     /// Idempotent.
     pub fn shutdown(&self) {
-        *lock_ignoring_poison(&self.stop) = true;
-        self.stop_requested.notify_all();
+        self.stop.raise();
         let supervisor = lock_ignoring_poison(&self.supervisor).take();
+        // A tick that drops the last `Arc<Fleet>` runs this on the
+        // supervisor thread itself, which exits right after: no join.
         if let Some(handle) = supervisor {
-            let _ = handle.join();
+            if handle.thread().id() != std::thread::current().id() {
+                let _ = handle.join();
+            }
         }
         let _guard = lock_ignoring_poison(&self.admin);
         terminate_all(&self.shards, self.drain_timeout);
@@ -185,58 +219,56 @@ impl Fleet {
 
     /// Whether [`Fleet::shutdown`] has begun.
     fn stopping(&self) -> bool {
-        *lock_ignoring_poison(&self.stop)
+        self.stop.is_raised()
     }
 
-    /// Sleeps for `period` unless shutdown begins first; returns whether the
-    /// fleet is stopping.
-    fn pause_unless_stopping(&self, period: Duration) -> bool {
-        let stop = lock_ignoring_poison(&self.stop);
-        let (stop, _) = self
-            .stop_requested
-            .wait_timeout_while(stop, period, |stop| !*stop)
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        *stop
-    }
-
-    /// The supervisor loop: every `probe_interval`, reap-and-respawn dead
-    /// shards and health-probe the live ones (three failed probes in a row
-    /// force a restart).
-    fn supervise(self: Arc<Fleet>) {
-        while !self.pause_unless_stopping(self.probe_interval) {
-            let _guard = lock_ignoring_poison(&self.admin);
-            if self.stopping() {
-                return;
+    /// One supervisor tick: reap-and-respawn dead shards and health-probe
+    /// the live ones (three failed probes in a row force a restart).
+    fn tick(&self) {
+        let _guard = lock_ignoring_poison(&self.admin);
+        if self.stopping() {
+            return;
+        }
+        for shard in &self.shards {
+            if shard.reap_if_dead() {
+                shard.set_available(false);
+                // On failure the next tick tries again.
+                let _ = shard.spawn(&self.spec, true);
+                continue;
             }
-            for shard in &self.shards {
-                if shard.reap_if_dead() {
-                    shard.set_available(false);
-                    // On failure the next tick tries again.
-                    let _ = shard.spawn(&self.spec, true);
-                    continue;
+            if !shard.is_available() {
+                continue;
+            }
+            // Ticket drawn before the stats round trip: if the shard is
+            // respawned while this probe is in flight, the sample loses to
+            // the respawn's load reset instead of resurrecting the dead
+            // child's reading.
+            let ticket = shard.next_probe_seq();
+            match probe_inflight(shard) {
+                Some(load) => {
+                    shard.apply_load_sample(ticket, load);
+                    shard.clear_strikes();
                 }
-                if !shard.is_available() {
-                    continue;
-                }
-                // Ticket drawn before the stats round trip: if the shard is
-                // respawned while this probe is in flight, the sample loses
-                // to the respawn's load reset instead of resurrecting the
-                // dead child's reading.
-                let ticket = shard.next_probe_seq();
-                match probe_inflight(shard) {
-                    Some(load) => {
-                        shard.apply_load_sample(ticket, load);
-                        shard.clear_strikes();
-                    }
-                    None => {
-                        if shard.strike() {
-                            // Unresponsive: force a crash-restart.  The next
-                            // tick reaps and respawns it.
-                            let _ = shard.kill_now();
-                        }
+                None => {
+                    if shard.strike() {
+                        // Unresponsive: force a crash-restart.  The next
+                        // tick reaps and respawns it.
+                        let _ = shard.kill_now();
                     }
                 }
             }
+        }
+    }
+}
+
+/// The supervisor loop: a [`Fleet::tick`] every `period` until the fleet
+/// stops.  It holds the fleet only for the length of a tick, so dropping
+/// the last outside `Arc<Fleet>` runs `Drop`, which shuts the shards down.
+fn supervise(fleet: &Weak<Fleet>, stop: &StopSignal, period: Duration) {
+    while !stop.pause(period) {
+        match fleet.upgrade() {
+            Some(fleet) => fleet.tick(),
+            None => return,
         }
     }
 }

@@ -20,8 +20,7 @@ use std::time::Instant;
 
 /// Identifiers of all experiments, in presentation order.
 pub const ALL_EXPERIMENTS: &[&str] = &[
-    "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
-    "e16", "e17",
+    "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e16", "e17",
 ];
 
 /// Runs one experiment by identifier (`"e2"` … `"e16"`).
@@ -40,7 +39,6 @@ pub fn run(id: &str) -> Option<Table> {
         "e12" => Some(e12_hotpath()),
         "e13" => Some(e13_streaming()),
         "e14" => Some(e14_fleet()),
-        "e15" => Some(e15_parallel()),
         "e16" => Some(e16_local()),
         "e17" => Some(e17_coalesce()),
         _ => None,
@@ -1110,155 +1108,6 @@ pub fn e14_fleet() -> Table {
     table
 }
 
-/// One measured run of a large duality query: worker count × intra-query
-/// splitting on/off, with the subtask counters the engine recorded for it.
-pub struct ParallelMeasurement {
-    /// Workload label.
-    pub name: String,
-    /// Worker threads in the engine pool.
-    pub workers: usize,
-    /// Whether intra-query splitting was forced on (`parallel_threshold = 0`)
-    /// or off (`usize::MAX`).
-    pub split: bool,
-    /// Wall time of the query, milliseconds.
-    pub wall_ms: f64,
-    /// Subtasks spawned while answering it.
-    pub subtasks: u64,
-    /// Subtasks executed by a worker other than the owner.
-    pub subtasks_stolen: u64,
-    /// The outcome matched the sequential single-worker baseline.
-    pub matches_baseline: bool,
-}
-
-impl ParallelMeasurement {
-    /// One JSON object for the bench trajectory file.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"name\":\"{}\",\"workers\":{},\"split\":{},\"wall_ms\":{:.2},\"subtasks\":{},\"subtasks_stolen\":{},\"matches\":{}}}",
-            self.name,
-            self.workers,
-            self.split,
-            self.wall_ms,
-            self.subtasks,
-            self.subtasks_stolen,
-            self.matches_baseline
-        )
-    }
-}
-
-/// Shared by E15 and the `e15_parallel` bench: large `QuadChain` duality
-/// queries (a matching instance of the given order and a broken variant; the
-/// dual side has `2^scale` edges) on fresh engines at 1 and N workers, with
-/// intra-query splitting forced on and off.  Every run's outcome is
-/// cross-checked against the sequential single-worker configuration, whose
-/// row is the baseline (`workers = 1`, `split = false`).
-pub fn measure_parallel(scale: usize) -> Vec<ParallelMeasurement> {
-    use qld_engine::{Engine, EngineConfig, FixedPolicy, Request, SolverKind};
-    use qld_hypergraph::generators;
-    use std::sync::Arc;
-
-    let li = generators::matching_instance(scale);
-    let mut broken = li.h.clone();
-    broken.remove_edge(1);
-    let instances = [
-        (
-            "matching-dual",
-            Request::DecideDuality {
-                g: li.g.clone(),
-                h: li.h.clone(),
-            },
-        ),
-        (
-            "matching-broken",
-            Request::DecideDuality {
-                g: li.g.clone(),
-                h: broken,
-            },
-        ),
-    ];
-    let make = |workers: usize, threshold: usize| {
-        Engine::new(EngineConfig {
-            workers,
-            cache: false,
-            policy: Arc::new(FixedPolicy(SolverKind::QuadChain)),
-            parallel_threshold: threshold,
-            ..EngineConfig::default()
-        })
-    };
-    // On a single-CPU container extra workers cannot help wall time; N > 1
-    // still proves the split/steal machinery end to end.
-    let max_workers = std::thread::available_parallelism()
-        .map_or(2, usize::from)
-        .clamp(2, 4);
-
-    let mut out = Vec::new();
-    for (name, request) in instances {
-        let mut baseline_outcome = None;
-        for (workers, split) in [
-            (1, false),
-            (1, true),
-            (max_workers, false),
-            (max_workers, true),
-        ] {
-            let engine = make(workers, if split { 0 } else { usize::MAX });
-            let started = Instant::now();
-            let response = engine.run_one(request.clone());
-            let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-            let (subtasks, subtasks_stolen) = engine.subtask_stats();
-            let matches_baseline = match &baseline_outcome {
-                None => {
-                    baseline_outcome = Some(response.outcome.clone());
-                    response.is_ok()
-                }
-                Some(base) => response.outcome == *base,
-            };
-            out.push(ParallelMeasurement {
-                name: name.to_string(),
-                workers,
-                split,
-                wall_ms,
-                subtasks,
-                subtasks_stolen,
-                matches_baseline,
-            });
-        }
-    }
-    out
-}
-
-/// E15 — intra-query parallelism: 1-vs-N-worker latency of the largest
-/// `QuadChain` queries with work-stealing subtasks forced on and off.  Every
-/// configuration must answer exactly like the sequential baseline; on a
-/// single-CPU container the interesting columns are the subtask/steal
-/// counters (wall-time parity is expected and documented).
-pub fn e15_parallel() -> Table {
-    let mut table = Table::new(
-        "E15",
-        "Intra-query work stealing: latency and subtask counters vs. workers",
-        &[
-            "instance",
-            "workers",
-            "split",
-            "wall-ms",
-            "subtasks",
-            "stolen",
-            "matches-seq",
-        ],
-    );
-    for m in measure_parallel(8) {
-        table.push_row(vec![
-            m.name.clone(),
-            m.workers.to_string(),
-            if m.split { "on" } else { "off" }.to_string(),
-            f2(m.wall_ms),
-            m.subtasks.to_string(),
-            m.subtasks_stolen.to_string(),
-            mark(m.matches_baseline),
-        ]);
-    }
-    table
-}
-
 /// One small duality instance asked one-shot through both execution routes:
 /// the persistent worker pool and the in-process local route
 /// (`EngineConfig::local_threshold`).
@@ -1622,23 +1471,6 @@ mod tests {
     fn small_table_helpers() {
         let li = qld_hypergraph::generators::matching_instance(2);
         assert!(brute_force_agrees(&li));
-    }
-
-    #[test]
-    fn e15_split_answers_match_and_spawn_subtasks() {
-        let ms = measure_parallel(5);
-        assert_eq!(ms.len(), 8);
-        assert!(
-            ms.iter().all(|m| m.matches_baseline),
-            "a split run changed an answer"
-        );
-        // Splitting is observable exactly when forced on.
-        assert!(ms.iter().filter(|m| m.split).all(|m| m.subtasks > 0));
-        assert!(ms.iter().filter(|m| !m.split).all(|m| m.subtasks == 0));
-        for m in &ms {
-            let json = m.to_json();
-            assert!(json.contains("\"subtasks_stolen\""), "{json}");
-        }
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! baselines, and the three application reductions (itemset borders, minimal
 //! keys, coterie domination) — lives in seven `no_std`-compatible crates.
 //! This crate re-exports that surface as a single dependency with **zero
-//! serving dependencies**: no sockets, no threads (unless the default `std`
-//! feature is on), no cache, no protocol.
+//! serving dependencies**: no sockets, no threads, no cache, no protocol.
 //!
 //! Embedders depend on `qld-solver` alone:
 //!
@@ -23,8 +22,7 @@
 //! underlying crate.  With `--no-default-features` the whole stack is
 //! `no_std` + `alloc` — suitable for `wasm32-unknown-unknown` or embedding in
 //! other runtimes — and the solver answers are byte-identical to the `std`
-//! build (the `std` feature only adds intra-query parallelism plumbing; the
-//! sequential decision procedure is feature-free).
+//! build (the decision procedures are feature-free).
 
 #![cfg_attr(all(not(feature = "std"), not(test)), no_std)]
 #![forbid(unsafe_code)]
@@ -51,8 +49,6 @@ pub use qld_core::{
     DualInstance, DualityResult, DualitySolver, NonDualWitness, PathnodeOutcome,
     QuadLogspaceSolver, Side, SpaceReport, SpaceStrategy,
 };
-#[cfg(feature = "std")]
-pub use qld_core::{InlinePool, ParallelContext, SubtaskPool, SubtaskScope};
 
 pub use qld_fk::{AssignmentBruteSolver, BergeSolver, FkASolver};
 

@@ -2,8 +2,8 @@
 //! solver stack is built with its default `std` feature or as `no_std` +
 //! `alloc` (`--no-default-features`).
 //!
-//! The `std` feature only adds intra-query parallelism plumbing; the decision
-//! procedures themselves are feature-free.  To catch any accidental
+//! The `std` feature only swaps the space reports' `log2` shim for `f64::log2`;
+//! the decision procedures themselves are feature-free.  To catch any accidental
 //! divergence (a float shim, a collection swap, a cfg'd code path changing an
 //! answer or witness), this test renders a transcript of solver outputs over
 //! a fixed instance corpus and compares its FNV-1a digest against a golden

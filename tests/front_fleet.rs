@@ -848,3 +848,35 @@ fn failed_start_tears_down_the_launched_shards() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Dropping the last handle to a fleet without calling `shutdown` still
+/// stops its shards: the supervisor thread must not keep the fleet alive.
+#[test]
+fn dropping_a_fleet_stops_its_shards() {
+    let dir = scratch_dir("drop-stops-shards");
+    let mut config = FleetConfig::new(1, qld_binary(), dir.join("shards"));
+    config.spec.workers = Some(1);
+    let socket = dir.join("shards").join("shard-0.sock");
+
+    let fleet = Fleet::start(config).expect("fleet start");
+    assert!(UnixStream::connect(&socket).is_ok(), "shard 0 is not up");
+    let handle = Arc::downgrade(&fleet);
+    drop(fleet);
+    let deadline = Instant::now() + Duration::from_secs(2);
+    let mut refused = UnixStream::connect(&socket).is_err();
+    while !refused && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+        refused = UnixStream::connect(&socket).is_err();
+    }
+    // Stop a shard the drop left running before asserting, so a failure
+    // leaks no processes.
+    if let Some(fleet) = handle.upgrade() {
+        fleet.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert!(
+        refused,
+        "shard 0 still accepts connections 2 s after the fleet was dropped"
+    );
+}
