@@ -71,12 +71,13 @@ pub struct EngineConfig {
     /// cold); [`Engine::save_cache_snapshot`] writes it back.
     pub cache_file: Option<PathBuf>,
     /// In-process ("local") execution threshold (`qld serve
-    /// --local-threshold`), in work units `|V| · (|G| + |H|)`.  A one-shot `check`
-    /// request strictly below it is answered synchronously on the submitting
-    /// session's thread through the embedded solver — no pool round-trip, no
-    /// cache lookup (and no cache-key render), no cancellation window.  `0`
-    /// (the default) disables local execution: every request takes the pool
-    /// path exactly as before.  See [`crate::ExecRoute`].
+    /// --local-threshold`), in work units `|V| · (|G| + |H|)`.  A one-shot
+    /// `check` request strictly below it is answered synchronously on the
+    /// submitting session's thread through the embedded solver — no pool
+    /// round-trip, no cache lookup (and no cache-key render), no
+    /// cancellation window.  `0` (the default) disables local execution:
+    /// every request takes the pool path exactly as before.  See
+    /// [`crate::ExecRoute`].
     pub local_threshold: usize,
     /// Single-flight request coalescing (`qld serve --no-coalesce` clears
     /// it): identical queries arriving while the first is still executing
@@ -2022,8 +2023,8 @@ keys 1,2;1,3
 
     #[test]
     fn stats_report_zero_subtasks_after_a_quadlog_check() {
-        // `subtasks`/`subtasks_stolen` stay on the `proto 2` stats line, and
-        // read 0 now that every duality call runs on one worker.
+        // `subtasks`/`subtasks_stolen` stay on the `proto 2` stats line and
+        // read 0: every duality call runs on one worker.
         let eng = Engine::new(EngineConfig {
             workers: 2,
             cache: false,

@@ -397,8 +397,8 @@ impl Response {
                         o.uint("sessions", *sessions as u128);
                         o.uint("connections", *connections as u128);
                         o.uint("throttled", *throttled as u128);
-                        // Kept for `proto 2` readers; duality calls no
-                        // longer split into subtasks, so both read 0.
+                        // Kept for `proto 2` readers; every duality call
+                        // runs on one worker, so both are always 0.
                         o.uint("subtasks", 0);
                         o.uint("subtasks_stolen", 0);
                         o.uint("flights", *flights as u128);
