@@ -72,6 +72,7 @@ impl StopSignal {
         self.wake.notify_all();
     }
 
+    /// Whether [`Fleet::shutdown`] has begun.
     fn is_raised(&self) -> bool {
         *lock_ignoring_poison(&self.stopped)
     }
@@ -180,7 +181,7 @@ impl Fleet {
     /// With ≥ 2 shards the fleet keeps serving throughout.
     pub fn rolling_restart(&self) -> io::Result<()> {
         for shard in &self.shards {
-            if self.stopping() {
+            if self.stop.is_raised() {
                 break;
             }
             let _guard = lock_ignoring_poison(&self.admin);
@@ -217,16 +218,11 @@ impl Fleet {
         terminate_all(&self.shards, self.drain_timeout);
     }
 
-    /// Whether [`Fleet::shutdown`] has begun.
-    fn stopping(&self) -> bool {
-        self.stop.is_raised()
-    }
-
     /// One supervisor tick: reap-and-respawn dead shards and health-probe
     /// the live ones (three failed probes in a row force a restart).
     fn tick(&self) {
         let _guard = lock_ignoring_poison(&self.admin);
-        if self.stopping() {
+        if self.stop.is_raised() {
             return;
         }
         for shard in &self.shards {
