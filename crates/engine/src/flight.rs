@@ -32,8 +32,6 @@
 //! itself re-checks after its cache miss (`lead_or_join`) so duplicates that
 //! raced past the submission check still coalesce — or, if their flight
 //! settled in the meantime, are answered from its fresh cache entry.
-//! `qld front` adds a third, router-level tier for one-shot duplicates
-//! across client sessions (see `crates/front/src/coalesce.rs`).
 
 use crate::cache::{CachedResult, QueryCache};
 use crate::engine::{EngineCounters, PoolJob, ReplySender};

@@ -64,9 +64,11 @@ pub struct SizeThresholdPolicy {
 
 impl Default for SizeThresholdPolicy {
     fn default() -> Self {
-        // The explicit tree is consistently fastest on the laptop-scale corpus
-        // (E4); the quadratic-logspace DFS takes over where materializing the
-        // tree starts to hurt.
+        // The threshold is unmeasured: no run has timed the tree against the
+        // quadratic-logspace DFS around this volume, and the tree is not the
+        // fastest solver on E4 (Berge beats it on every dual row).  The
+        // intent is that the DFS takes over where materializing the tree
+        // starts to hurt.
         SizeThresholdPolicy {
             volume_threshold: 96,
         }

@@ -16,7 +16,9 @@
 //! * [`router`] — the protocol-transparent proxy session: per-request shard
 //!   routing by the engine's canonical cache key, streamed chunk relay with
 //!   `id` remapping, `cancel` forwarding to the owning shard, and
-//!   retry-once-on-reroute for requests lost to a dying shard.
+//!   retry-once-on-reroute for requests lost to a dying shard.  The router
+//!   does not deduplicate: under hash affinity, duplicates meet in the
+//!   owning shard's single-flight table.
 //!
 //! The `qld` binary itself lives in this crate (`src/bin/qld.rs`) so the
 //! `front` subcommand can sit next to `serve` without a dependency cycle:
@@ -28,8 +30,6 @@
 pub mod hash;
 pub mod policy;
 
-#[cfg(unix)]
-pub(crate) mod coalesce;
 #[cfg(unix)]
 pub mod fleet;
 #[cfg(unix)]

@@ -1,7 +1,8 @@
 //! End-to-end tests of the `qld front` shard-fleet router: consistent-hash
 //! cache affinity across real shard processes, byte-compatible streamed chunk
-//! relay, cancel forwarding, crash respawn hot from snapshots, and
-//! retry-once-on-reroute.
+//! relay, cancel forwarding, crash respawn hot from snapshots,
+//! retry-once-on-reroute by the canonical key, and cross-session coalescing
+//! in the owning shard's flight table.
 //!
 //! The shards are real `qld serve` child processes (the binary built for this
 //! test run); the router runs in-process so the tests can reach the fleet's
@@ -17,8 +18,12 @@ use std::process::Command;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use qld_engine::wire::{self, ParsedLine};
 use qld_engine::{Engine, EngineConfig, ServeOptions, ShutdownHandle, SocketServer};
-use qld_front::{policy_from_name, session_handler, Fleet, FleetConfig, Router};
+use qld_front::{
+    policy_from_name, session_handler, Fleet, FleetConfig, FleetView, HashAffinityPolicy, Router,
+    ShardPolicy,
+};
 
 fn qld_binary() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_qld"))
@@ -57,7 +62,6 @@ fn wrapper_script(dir: &Path, body: &str) -> PathBuf {
 /// An in-process router serving a real shard fleet on a Unix socket.
 struct TestFront {
     fleet: Arc<Fleet>,
-    router: Arc<Router>,
     socket: PathBuf,
     shutdown: ShutdownHandle,
     runner: Option<std::thread::JoinHandle<std::io::Result<qld_engine::TransportSummary>>>,
@@ -90,12 +94,9 @@ impl TestFront {
         let socket = dir.join("front.sock");
         let server = SocketServer::bind(&socket).expect("bind front socket");
         let shutdown = server.shutdown_handle();
-        let session_router = Arc::clone(&router);
-        let runner =
-            std::thread::spawn(move || server.run_with(Arc::new(session_handler(session_router))));
+        let runner = std::thread::spawn(move || server.run_with(Arc::new(session_handler(router))));
         TestFront {
             fleet,
-            router,
             socket,
             shutdown,
             runner: Some(runner),
@@ -621,10 +622,26 @@ fn alternate_policies_serve_traffic() {
     }
 }
 
-/// Router-level single-flight: K client sessions stampede the same one-shot
-/// key; exactly one forwarded execution reaches a shard, every session gets
-/// a byte-identical answer (modulo its own correlation token), and the
-/// router's `front` counters are spliced into relayed `stats` lines.
+/// Sums the integer field `marker` over every shard's `stats` line.
+fn fleet_sum(front: &TestFront, shards: usize, marker: &str) -> u64 {
+    (0..shards)
+        .map(|i| field_u64(&front.shard_stats(i), marker))
+        .sum()
+}
+
+/// Polls `done` every millisecond until it holds, failing after 5 s.
+fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Cross-session single-flight through the front: K client sessions stampede
+/// the same one-shot key; hash affinity sends every duplicate to the owning
+/// shard, whose flight table executes it exactly once.  Every session gets
+/// the same answer under its own correlation token.
 #[test]
 fn stampede_across_sessions_reaches_a_shard_exactly_once() {
     const K: usize = 6;
@@ -651,22 +668,25 @@ fn stampede_across_sessions_reaches_a_shard_exactly_once() {
     }
     let answers: Vec<(usize, String)> = sessions.into_iter().map(|t| t.join().unwrap()).collect();
 
-    // One flight led, K-1 followers enrolled — and the shards agree: the
-    // fleet saw exactly one cache miss for the key.
-    assert_eq!(front.router.coalesce_stats(), (1, (K - 1) as u64));
-    let total_misses: u64 = (0..2)
-        .map(|i| field_u64(&front.shard_stats(i), "\"misses\":"))
-        .sum();
-    assert_eq!(total_misses, 1, "only the leader reached a shard");
+    // One execution fleet-wide; every duplicate either coalesced onto it or,
+    // arriving after it settled, hit its cache entry.  (`misses` would also
+    // count worker-level followers, so it is not the execution count.)
+    assert_eq!(fleet_sum(&front, 2, "\"flights\":"), 1, "one execution");
+    assert_eq!(
+        fleet_sum(&front, 2, "\"coalesced\":") + fleet_sum(&front, 2, "\"hits\":"),
+        (K - 1) as u64,
+        "every duplicate coalesced or hit"
+    );
 
-    // Byte-identical modulo the correlation token (same `id`, same stats:
-    // followers are settled from the leader's terminal frame verbatim).
+    // The same outcome for everyone, modulo the correlation token and the
+    // per-request stats (a cache hit's differ from a follower's).
     let canonical: Vec<String> = answers
         .iter()
-        .map(|(i, line)| line.replace(&format!(",\"client_id\":\"s{i}\""), ""))
+        .map(|(i, line)| strip_stats(line).replace(&format!(",\"client_id\":\"s{i}\""), ""))
         .collect();
     for (i, line) in canonical.iter().enumerate() {
         assert_eq!(line, &canonical[0], "session {i} diverged");
+        assert!(line.starts_with("{\"id\":0,"), "{line}");
         assert!(line.contains("\"ok\":true"), "{line}");
         assert!(line.contains("\"complete\":true"), "{line}");
     }
@@ -677,14 +697,12 @@ fn stampede_across_sessions_reaches_a_shard_exactly_once() {
         );
     }
 
-    // The relayed stats line carries the router's own coalescing ledger.
+    // Relayed stats lines keep the `front` object for `proto 2`; the router
+    // keeps no flights of its own, so it reads zero.
     let stats = front.ask("stats\n");
     assert_eq!(stats.len(), 1);
     assert!(
-        stats[0].contains(&format!(
-            "\"front\":{{\"flights\":1,\"coalesced\":{}}}",
-            K - 1
-        )),
+        stats[0].contains("\"front\":{\"flights\":0,\"coalesced\":0}"),
         "{}",
         stats[0]
     );
@@ -694,9 +712,9 @@ fn stampede_across_sessions_reaches_a_shard_exactly_once() {
     assert_eq!(summary.requests, (K + 1) as u64);
 }
 
-/// Leader promotion at the router: when the flight leader's client cancels,
-/// a follower from another session is promoted — its own line is forwarded
-/// under the same flight key — and still gets the complete answer.
+/// Leader promotion through the front: when the flight leader's client
+/// cancels, the duplicate from another session that coalesced onto it on the
+/// owning shard rides the same flight to the complete answer.
 #[test]
 fn cancelled_leader_promotes_a_follower_session() {
     let front = TestFront::start("promote", 2);
@@ -707,29 +725,18 @@ fn cancelled_leader_promotes_a_follower_session() {
     // finished first.
     let rel = pair_complement_inline(7);
 
-    // Session A leads the flight...
+    // Session A leads the flight.  The cancel must find the leader
+    // executing: a job cancelled while still queued on its shard answers
+    // `ok:false` ("cancelled before execution").  A shard worker leads a
+    // flight just before it executes.
     let mut a = front.connect();
     let a_reader = BufReader::new(a.try_clone().unwrap());
     writeln!(a, "mine {rel} z=0 full=true id=leader").unwrap();
-    // B must not reach the router first, or A would be the follower.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while front.router.coalesce_stats().0 < 1 {
-        assert!(Instant::now() < deadline, "leader never registered");
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    // The cancel must also find the leader executing: a job cancelled while
-    // still queued on its shard answers `ok:false` ("cancelled before
-    // execution").  A shard worker leads a flight just before it executes.
-    while (0..2)
-        .map(|i| field_u64(&front.shard_stats(i), "\"flights\":"))
-        .sum::<u64>()
-        < 1
-    {
-        assert!(Instant::now() < deadline, "leader never reached a worker");
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    wait_for("the leader to reach a worker", || {
+        fleet_sum(&front, 2, "\"flights\":") >= 1
+    });
 
-    // ...and session B enrolls as its follower.
+    // ...and session B's duplicate coalesces onto it on the same shard.
     let follower_line = format!("mine {rel} z=0 full=true id=dup\n");
     let socket = front.socket.clone();
     let b = std::thread::spawn(move || {
@@ -740,14 +747,12 @@ fn cancelled_leader_promotes_a_follower_session() {
         assert_eq!(lines.len(), 1, "{lines:#?}");
         lines.into_iter().next().unwrap()
     });
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while front.router.coalesce_stats().1 < 1 {
-        assert!(Instant::now() < deadline, "follower never enrolled");
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    wait_for("the follower to coalesce", || {
+        fleet_sum(&front, 2, "\"coalesced\":") >= 1
+    });
 
     // A cancels its own request: A gets the cancelled partial + the ack,
-    // while B's request is re-forwarded as the flight's new leader.
+    // while the flight runs on for B.
     writeln!(a, "cancel id=0").unwrap();
     a.shutdown(std::net::Shutdown::Write).unwrap();
     let a_lines: Vec<String> = a_reader.lines().map(|l| l.unwrap()).collect();
@@ -774,9 +779,133 @@ fn cancelled_leader_promotes_a_follower_session() {
     assert!(b_line.contains("\"complete\":true"), "{b_line}");
     assert!(!b_line.contains("\"halted\""), "{b_line}");
 
-    // Promotion hands leadership over inside the *same* flight: the ledger
-    // still shows one flight led and one follower coalesced.
-    assert_eq!(front.router.coalesce_stats(), (1, 1));
+    let summary = front.stop();
+    assert_eq!(summary.errors, 0);
+}
+
+/// Follower cancel through the front: a duplicate that coalesced onto
+/// another session's flight on the owning shard and then cancels detaches
+/// alone — it gets its own cancelled terminal and ack, while the leader's
+/// session still gets the complete answer.
+#[test]
+fn cancelled_duplicate_detaches_alone_through_the_front() {
+    let front = TestFront::start("follower-cancel", 2);
+    // Same timing budget as the promotion test above: the cancel must land
+    // while the flight still runs.
+    let rel = pair_complement_inline(7);
+
+    // Session A leads the flight on a worker.
+    let a_line = format!("mine {rel} z=0 full=true id=leader\n");
+    let socket = front.socket.clone();
+    let a = std::thread::spawn(move || {
+        let mut stream = UnixStream::connect(&socket).unwrap();
+        stream.write_all(a_line.as_bytes()).unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let lines: Vec<String> = BufReader::new(stream).lines().map(|l| l.unwrap()).collect();
+        assert_eq!(lines.len(), 1, "{lines:#?}");
+        lines.into_iter().next().unwrap()
+    });
+    wait_for("the leader to reach a worker", || {
+        fleet_sum(&front, 2, "\"flights\":") >= 1
+    });
+
+    // Session B sends the same query, which coalesces onto A's flight...
+    let mut b = front.connect();
+    let b_reader = BufReader::new(b.try_clone().unwrap());
+    writeln!(b, "mine {rel} z=0 full=true id=dup").unwrap();
+    wait_for("the duplicate to coalesce", || {
+        fleet_sum(&front, 2, "\"coalesced\":") >= 1
+    });
+
+    // ...and then cancels it.
+    writeln!(b, "cancel id=0").unwrap();
+    b.shutdown(std::net::Shutdown::Write).unwrap();
+    let b_lines: Vec<String> = b_reader.lines().map(|l| l.unwrap()).collect();
+    assert_eq!(b_lines.len(), 2, "{b_lines:#?}");
+    assert!(
+        b_lines.iter().any(|l| l.starts_with("{\"id\":0,")
+            && l.contains("\"client_id\":\"dup\"")
+            && l.contains("\"halted\":\"cancelled\"")),
+        "{b_lines:#?}"
+    );
+    assert!(
+        b_lines.iter().any(|l| l.starts_with("{\"id\":1,")
+            && l.contains("\"kind\":\"cancel\"")
+            && l.contains("\"cancelled\":true")),
+        "{b_lines:#?}"
+    );
+
+    // The leader never saw B's cancel.
+    let a_line = a.join().unwrap();
+    assert!(a_line.contains("\"client_id\":\"leader\""), "{a_line}");
+    assert!(a_line.contains("\"ok\":true"), "{a_line}");
+    assert!(a_line.contains("\"complete\":true"), "{a_line}");
+    assert!(!a_line.contains("\"halted\""), "{a_line}");
+
+    let _ = front.stop();
+}
+
+/// A retried request re-routes by its canonical cache key, not its raw line:
+/// on a 3-shard `hash` fleet, a one-shot query whose owner dies under it is
+/// re-run on the ring successor of the *key* — where every duplicate of it
+/// now lands — even when the raw line (whose `id=` token the key omits)
+/// hashes to the other survivor.
+#[test]
+fn retry_reroutes_by_the_canonical_key() {
+    const SHARDS: usize = 3;
+    let rel = pair_complement_inline(6);
+    let policy = HashAffinityPolicy::new(SHARDS);
+    let pick = |key: &str, down: Option<usize>| {
+        let available: Vec<bool> = (0..SHARDS).map(|s| Some(s) != down).collect();
+        let view = FleetView {
+            available: &available,
+            load: &[0; SHARDS],
+            session: 0,
+        };
+        policy.choose(key, &view).unwrap()
+    };
+    let key = match wire::parse_line(&format!("mine {rel} z=0 full=true")) {
+        Ok(ParsedLine {
+            command: wire::Command::Query(request),
+            ..
+        }) => request.cache_key(),
+        other => panic!("not a query: {other:?}"),
+    };
+    let owner = pick(&key, None);
+    let key_survivor = pick(&key, Some(owner));
+    // An `id=` token under which the raw line's survivor differs from the
+    // key's: only then does the test tell the two routings apart.
+    let line = (0..1000)
+        .map(|i| format!("mine {rel} z=0 full=true id=r{i}"))
+        .find(|line| pick(line, Some(owner)) != key_survivor)
+        .expect("some id= token splits the two survivors");
+
+    let front = TestFront::start("retry-key", SHARDS);
+    let mut stream = front.connect();
+    let reader = BufReader::new(stream.try_clone().unwrap());
+    writeln!(stream, "{line}").unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+
+    // Kill the owner while it executes the query.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while field_u64(&front.shard_stats(owner), "\"inflight\":") == 0 {
+        assert!(Instant::now() < deadline, "request never showed in flight");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    front.fleet.kill_shard(owner).expect("kill shard");
+
+    let lines: Vec<String> = reader.lines().map(|l| l.unwrap()).collect();
+    assert_eq!(lines.len(), 1, "{lines:#?}");
+    assert!(lines[0].contains("\"ok\":true"), "{}", lines[0]);
+    assert!(lines[0].contains("\"complete\":true"), "{}", lines[0]);
+
+    // The retry executed on the key's survivor, and only there.
+    let other = (0..SHARDS)
+        .find(|&s| s != owner && s != key_survivor)
+        .unwrap();
+    let flights = |s: usize| field_u64(&front.shard_stats(s), "\"flights\":");
+    assert_eq!(flights(key_survivor), 1, "the key's survivor ran the retry");
+    assert_eq!(flights(other), 0, "the raw line's survivor ran nothing");
 
     let summary = front.stop();
     assert_eq!(summary.errors, 0);
