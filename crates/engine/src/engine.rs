@@ -38,6 +38,7 @@ use crate::stream::{
     StreamItem, StreamProgress,
 };
 use crate::wire::{self, OrderMode};
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, BufReader, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -305,8 +306,10 @@ pub(crate) struct EngineCounters {
 
 impl EngineCounters {
     /// Settles one pool-admitted job on the in-flight gauge.  Workers call
-    /// it after sending a terminal response; the flight layer calls it when
-    /// delivering a worker-level follower's terminal instead.
+    /// it after sending a terminal response, or, for a flight leader that
+    /// was answered when it detached, once the execution it left running
+    /// ends; the flight layer calls it when delivering a worker-level
+    /// follower's terminal instead.
     pub(crate) fn job_finished(&self) {
         self.inflight.fetch_sub(1, Ordering::Relaxed);
     }
@@ -1350,9 +1353,9 @@ fn worker_loop(ctx: &WorkerCtx, jobs: &Mutex<Receiver<PoolJob>>, worker_index: u
     loop {
         let received = jobs.lock().unwrap_or_else(PoisonError::into_inner).recv();
         let Ok(job) = received else { break };
-        // `None` means the job attached to an identical in-flight execution
-        // as a follower: the flight delivers its terminal and settles the
-        // in-flight gauge.
+        // `None` means the flight answered the job (it attached to an
+        // identical in-flight execution as a follower, or it led one and
+        // detached early) and the gauge is settled already.
         if let Some(response) = answer(ctx, worker_index, &job) {
             // A receiver that hung up (aborted session) just discards the
             // answer.
@@ -1364,8 +1367,9 @@ fn worker_loop(ctx: &WorkerCtx, jobs: &Mutex<Receiver<PoolJob>>, worker_index: u
 
 /// Executes one job on a worker, turning panics into `internal` errors so a
 /// misbehaving request cannot take a pool thread down with it.  `None`
-/// means the job joined an in-flight duplicate as a follower — the flight
-/// owns its delivery, and the worker must not answer (or decrement) it.
+/// means the flight answered the job — it joined an in-flight duplicate as
+/// a follower, or it led a flight and was answered when it detached — and
+/// the worker must not answer (or decrement) it again.
 fn answer(ctx: &WorkerCtx, worker_index: usize, job: &PoolJob) -> Option<Response> {
     let base_stats = || RequestStats {
         worker: worker_index,
@@ -1410,10 +1414,17 @@ fn answer(ctx: &WorkerCtx, worker_index: usize, job: &PoolJob) -> Option<Respons
             stats: base_stats(),
         }),
         Payload::Query { request, solver } => {
+            let answered = Cell::new(false);
             let attempt = catch_unwind(AssertUnwindSafe(|| {
-                process_one(job, request, *solver, worker_index, ctx)
+                process_one(job, request, *solver, worker_index, ctx, &answered)
             }));
             attempt.unwrap_or_else(|panic| {
+                if answered.get() {
+                    // A detached leader already has its terminal; the
+                    // panic reached its followers through the flight lease.
+                    ctx.counters.job_finished();
+                    return None;
+                }
                 let detail = panic
                     .downcast_ref::<&str>()
                     .map(|s| s.to_string())
@@ -1511,14 +1522,16 @@ impl ResultSink for WorkerSink<'_> {
 /// Executes one typed query on a worker: cache lookup (with chunk replay for
 /// streamed hits), single-flight gate, solver dispatch through a
 /// [`WorkerSink`] (solo) or [`FlightSink`] (flight leader), stats.  `None`
-/// means the job joined an active flight as a follower — the flight owns its
-/// delivery and the worker moves on to the next job.
+/// means the job needs no answer from the worker: it joined an active flight
+/// as a follower, or it led one and was answered when it detached
+/// (`answered` is then set, and this settles its in-flight gauge).
 fn process_one(
     job: &PoolJob,
     request: &Request,
     solver_override: Option<SolverKind>,
     worker: usize,
     ctx: &WorkerCtx,
+    answered: &Cell<bool>,
 ) -> Option<Response> {
     let started = Instant::now();
     // A `solver=` override changes which solver's telemetry the caller sees,
@@ -1590,7 +1603,7 @@ fn process_one(
     let mut solo_sink = WorkerSink::new(job, request.kind());
     let mut flight_sink = lease
         .as_ref()
-        .map(|lease| FlightSink::new(job, request.kind(), lease));
+        .map(|lease| FlightSink::new(job, request.kind(), lease, worker, started, answered));
     let sink: &mut dyn ResultSink = match flight_sink.as_mut() {
         Some(sink) => sink,
         None => &mut solo_sink,
@@ -1629,11 +1642,15 @@ fn process_one(
     };
     let (outcome, halted, emitted) = match (lease, flight_sink) {
         (Some(lease), Some(sink)) => {
-            // Settle the followers with the execution's results, then answer
-            // as the leader saw it (its own partial if it was promoted away).
-            let view = sink.leader_view(&outcome, halted);
+            // Settle the followers with the execution's results.  A leader
+            // that never detached answers with them too, byte-identical to
+            // an uncoalesced run; one that detached was answered then.
             lease.finish(&outcome, halted, &stats);
-            view
+            if answered.get() {
+                ctx.counters.job_finished();
+                return None;
+            }
+            (outcome, halted, sink.emitted())
         }
         _ => (outcome, halted, solo_sink.emitted),
     };

@@ -41,9 +41,11 @@ use crate::stream::{
     CancelToken, ChunkFrame, ChunkPayload, ResultSink, SinkDirective, StopReason, StreamEvent,
     StreamItem,
 };
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// The engine-wide registry of in-flight coalesced executions, keyed by the
 /// canonical cache key (including the `solver=` override suffix).
@@ -140,6 +142,7 @@ impl FlightTable {
         }
         let flight = Arc::new(Flight {
             kind,
+            counters: Arc::clone(&self.counters),
             state: Mutex::new(FlightState::default()),
         });
         table.insert(key.to_string(), Arc::clone(&flight));
@@ -169,6 +172,9 @@ pub(crate) struct Flight {
     /// The request kind, for follower chunk framing (identical requests have
     /// identical kinds, so the leader's is everyone's).
     kind: &'static str,
+    /// The in-flight gauge, settled for each worker-level follower when the
+    /// flight answers it.
+    counters: Arc<EngineCounters>,
     state: Mutex<FlightState>,
 }
 
@@ -178,22 +184,56 @@ struct FlightState {
     /// whether the leader streamed: a follower enrolling at any point
     /// replays the identical sequence.
     buffer: Vec<ChunkPayload>,
+    /// Followers still consuming; a stopped one is answered and removed at
+    /// the next yield boundary.
     followers: Vec<Follower>,
     /// No further joins: the execution has stopped (or is settling).
     completed: bool,
+    /// Why the leader stopped, once it detached while followers kept the
+    /// flight alive.  It was answered with its partial at that boundary and
+    /// consumes nothing further.
+    leader_halt: Option<StopReason>,
+}
+
+impl FlightState {
+    /// Feeds every follower the buffer it has not consumed yet, then answers
+    /// and removes each one that can consume no further (its own cancel or
+    /// quota) with the partial it consumed.  `worker` is the executing
+    /// worker, reported in the early answers' stats.
+    fn release_stopped(&mut self, kind: &'static str, worker: usize, counters: &EngineCounters) {
+        let FlightState {
+            buffer, followers, ..
+        } = self;
+        followers.retain_mut(|follower| {
+            follower.pump(kind, buffer);
+            let Some(reason) = follower.would_stop() else {
+                return true;
+            };
+            let outcome = partial_outcome(kind, buffer, follower.items, follower.pos, reason);
+            // The execution is still running, so its solver telemetry is not
+            // known yet: the answer reports only its own wall time.
+            let stats = RequestStats {
+                micros: follower.joined.elapsed().as_micros(),
+                solver: "-".to_string(),
+                worker,
+                ..RequestStats::default()
+            };
+            follower.answer(outcome, Some(reason), stats, counters);
+            false
+        });
+    }
 }
 
 impl Flight {
     /// Delivers the terminal outcome to every follower.  `outcome`/`halted`/
     /// `stats` are the leader execution's results; a follower that stopped
-    /// early (its own cancel or quota) gets a partial built from the prefix
-    /// it consumed instead.
+    /// since the last yield boundary gets a partial built from the prefix it
+    /// consumed instead.
     fn settle(
         &self,
         outcome: &Result<Outcome, EngineError>,
         halted: Option<StopReason>,
         stats: &RequestStats,
-        counters: &EngineCounters,
     ) {
         let mut state = lock_ignoring_poison(&self.state);
         state.completed = true;
@@ -209,18 +249,7 @@ impl Flight {
                     Some(reason),
                 ),
             };
-            let response = Response {
-                id: follower.seq,
-                client_id: follower.client_id.clone(),
-                outcome: f_outcome,
-                halted: f_halted,
-                chunks: follower.stream.then_some(follower.emitted),
-                stats: stats.clone(),
-            };
-            let _ = follower.reply.send(StreamEvent::Done(response));
-            if follower.pool_admitted {
-                counters.job_finished();
-            }
+            follower.answer(f_outcome, f_halted, stats.clone(), &self.counters);
         }
     }
 }
@@ -250,8 +279,7 @@ impl FlightLease {
     ) {
         self.settled = true;
         self.table.remove(&self.key, &self.flight);
-        self.flight
-            .settle(outcome, halted, stats, &self.table.counters);
+        self.flight.settle(outcome, halted, stats);
     }
 }
 
@@ -268,8 +296,7 @@ impl Drop for FlightLease {
             solver: "-".to_string(),
             ..RequestStats::default()
         };
-        self.flight
-            .settle(&outcome, None, &stats, &self.table.counters);
+        self.flight.settle(&outcome, None, &stats);
     }
 }
 
@@ -296,6 +323,8 @@ pub(crate) struct Follower {
     receiver_gone: bool,
     /// Why the follower stopped consuming, once it has.
     halt: Option<StopReason>,
+    /// When the follower attached, for the wall time of an early answer.
+    joined: Instant,
 }
 
 impl Follower {
@@ -316,6 +345,29 @@ impl Follower {
             items: 0,
             receiver_gone: false,
             halt: None,
+            joined: Instant::now(),
+        }
+    }
+
+    /// Sends the follower's terminal and settles its in-flight gauge.
+    fn answer(
+        &self,
+        outcome: Result<Outcome, EngineError>,
+        halted: Option<StopReason>,
+        stats: RequestStats,
+        counters: &EngineCounters,
+    ) {
+        let response = Response {
+            id: self.seq,
+            client_id: self.client_id.clone(),
+            outcome,
+            halted,
+            chunks: self.stream.then_some(self.emitted),
+            stats,
+        };
+        let _ = self.reply.send(StreamEvent::Done(response));
+        if self.pool_admitted {
+            counters.job_finished();
         }
     }
 
@@ -396,40 +448,48 @@ pub(crate) struct FlightSink<'a> {
     job: &'a PoolJob,
     kind: &'static str,
     flight: Arc<Flight>,
+    /// The executing worker and when it took the job, for the stats of
+    /// answers sent before the execution ends.
+    worker: usize,
+    started: Instant,
+    /// Set once the leader was answered at its detach, so the worker does
+    /// not answer it a second time, not even after a panic.
+    answered: &'a Cell<bool>,
     /// Leader-side chunk framing state (mirrors the solo sink).
     emitted: u64,
     items: u64,
     receiver_gone: bool,
-    /// `Some` once the leader detached while followers kept the flight
-    /// alive; the leader's own answer is then the partial it consumed.
-    /// Stays `None` when the leader is live at the end *or* the flight
-    /// stopped with it — both answer with the execution's own outcome,
-    /// exactly as an uncoalesced run would.
-    leader_halt: Option<StopReason>,
-    /// Buffer length at leader detach (bounds the partial's telemetry scan).
-    leader_pos: usize,
 }
 
 impl<'a> FlightSink<'a> {
-    pub(crate) fn new(job: &'a PoolJob, kind: &'static str, lease: &FlightLease) -> Self {
+    pub(crate) fn new(
+        job: &'a PoolJob,
+        kind: &'static str,
+        lease: &FlightLease,
+        worker: usize,
+        started: Instant,
+        answered: &'a Cell<bool>,
+    ) -> Self {
         FlightSink {
             job,
             kind,
             flight: Arc::clone(lease.flight()),
+            worker,
+            started,
+            answered,
             emitted: 0,
             items: 0,
             receiver_gone: false,
-            leader_halt: None,
-            leader_pos: 0,
         }
     }
 
-    /// The leader's stop reason as of now (its recorded detach, or a fresh
-    /// cancel/quota trip).
+    /// Chunk frames delivered to the leader.
+    pub(crate) fn emitted(&self) -> u64 {
+        self.emitted
+    }
+
+    /// Why a still-attached leader can consume no further, if it cannot.
     fn leader_would_stop(&self) -> Option<StopReason> {
-        if let Some(reason) = self.leader_halt {
-            return Some(reason);
-        }
         if self.job.cancel.is_cancelled() || self.receiver_gone {
             return Some(StopReason::Cancelled);
         }
@@ -457,84 +517,80 @@ impl<'a> FlightSink<'a> {
         }
     }
 
-    /// Records one payload in the flight, delivers it to every live
-    /// consumer (leader first, so its frame order matches a solo run), and
+    /// Records one payload in the flight, delivers it to the leader (first,
+    /// so its frame order matches a solo run) and the followers, and
     /// computes the flight directive.
     fn push(&mut self, payload: ChunkPayload) -> SinkDirective {
         let flight = Arc::clone(&self.flight);
         let mut state = lock_ignoring_poison(&flight.state);
-        if self.leader_halt.is_none() {
+        if state.leader_halt.is_none() {
             if matches!(payload, ChunkPayload::Item(_)) {
                 self.items += 1;
             }
             self.send_leader(payload.clone());
         }
         state.buffer.push(payload);
-        let buffer_len = state.buffer.len();
-        let FlightState {
-            buffer, followers, ..
-        } = &mut *state;
-        for follower in followers.iter_mut() {
-            follower.pump(self.kind, buffer);
-        }
-        let Some(reason) = self.leader_would_stop() else {
-            return SinkDirective::Continue;
-        };
-        if state.followers.iter().any(|f| f.would_stop().is_none()) {
+        self.boundary(&mut state)
+    }
+
+    /// One yield boundary under the state lock: every participant that
+    /// stopped is answered now, and the execution stops once nobody is
+    /// left consuming.
+    fn boundary(&self, state: &mut FlightState) -> SinkDirective {
+        state.release_stopped(self.kind, self.worker, &self.flight.counters);
+        if state.leader_halt.is_none() {
+            let Some(reason) = self.leader_would_stop() else {
+                return SinkDirective::Continue;
+            };
+            if state.followers.is_empty() {
+                // The flight dies with its leader, whose answer is the
+                // execution's own partial: the solo-run semantics.
+                state.completed = true;
+                return SinkDirective::Stop(reason);
+            }
             // Promotion: a follower still wants the result, so the
-            // execution outlives its leader.  Record the detach point once;
-            // the leader consumes nothing further.
-            if self.leader_halt.is_none() {
-                self.leader_halt = Some(reason);
-                self.leader_pos = buffer_len;
-            }
-            return SinkDirective::Continue;
+            // execution outlives its leader.
+            self.detach_leader(state, reason);
         }
-        // Everyone has stopped: the flight dies at this yield boundary.
-        state.completed = true;
-        SinkDirective::Stop(self.flight_stop_reason(&state, reason))
+        match state.leader_halt {
+            Some(reason) if state.followers.is_empty() => {
+                // The last follower of a detached leader has stopped.
+                state.completed = true;
+                SinkDirective::Stop(reason)
+            }
+            _ => SinkDirective::Continue,
+        }
     }
 
-    /// The reason the whole flight stopped: the leader's own when it was
-    /// the last to go, otherwise the reason of the last follower standing.
-    fn flight_stop_reason(&self, state: &FlightState, leader_reason: StopReason) -> StopReason {
-        if self.leader_halt.is_none() {
-            return leader_reason;
-        }
-        state
-            .followers
-            .iter()
-            .rev()
-            .find_map(|f| f.would_stop())
-            .unwrap_or(leader_reason)
-    }
-
-    /// The leader's own terminal view `(outcome, halted, chunks_emitted)`.
-    /// A leader that never detached answers with the execution's outcome —
-    /// byte-identical to an uncoalesced run; a detached (promoted-away)
-    /// leader answers with the partial prefix it consumed.
-    pub(crate) fn leader_view(
-        &self,
-        outcome: &Result<Outcome, EngineError>,
-        halted: Option<StopReason>,
-    ) -> (Result<Outcome, EngineError>, Option<StopReason>, u64) {
-        match self.leader_halt {
-            None => (outcome.clone(), halted, self.emitted),
-            Some(reason) => {
-                let state = lock_ignoring_poison(&self.flight.state);
-                (
-                    partial_outcome(
-                        self.kind,
-                        &state.buffer,
-                        self.items,
-                        self.leader_pos,
-                        reason,
-                    ),
-                    Some(reason),
-                    self.emitted,
-                )
-            }
-        }
+    /// Answers a leader that stopped while followers still consume with
+    /// the partial it consumed; the flight runs on without it.
+    fn detach_leader(&self, state: &mut FlightState, reason: StopReason) {
+        state.leader_halt = Some(reason);
+        let outcome = partial_outcome(
+            self.kind,
+            &state.buffer,
+            self.items,
+            state.buffer.len(),
+            reason,
+        );
+        let response = Response {
+            id: self.job.seq,
+            client_id: self.job.client_id.clone(),
+            outcome,
+            halted: Some(reason),
+            chunks: self.job.stream.then_some(self.emitted),
+            // As for a stopped follower: only the leader's own wall time.
+            stats: RequestStats {
+                micros: self.started.elapsed().as_micros(),
+                solver: "-".to_string(),
+                worker: self.worker,
+                ..RequestStats::default()
+            },
+        };
+        let _ = self.job.reply.send(StreamEvent::Done(response));
+        // The worker still runs the flight, so the job stays on the
+        // in-flight gauge until the execution ends.
+        self.answered.set(true);
     }
 }
 
@@ -544,24 +600,14 @@ impl ResultSink for FlightSink<'_> {
     }
 
     fn progress(&mut self, progress: crate::stream::StreamProgress) {
-        // Progress checkpoints never stop an op; the directive is dropped.
+        // Progress checkpoints never stop an op; the directive is dropped
+        // (a stop decided here is decided again at the next boundary).
         let _ = self.push(ChunkPayload::Progress(progress));
     }
 
     fn check(&self) -> SinkDirective {
         let mut state = lock_ignoring_poison(&self.flight.state);
-        let Some(reason) = self.leader_would_stop() else {
-            return SinkDirective::Continue;
-        };
-        if state.followers.iter().any(|f| f.would_stop().is_none()) {
-            return SinkDirective::Continue;
-        }
-        // `check` cannot record the leader's detach (it is `&self`), which
-        // is exactly right: a stop decided here means the flight died with
-        // the leader, and the execution's own partial is the leader's
-        // answer — the solo-run semantics.
-        state.completed = true;
-        SinkDirective::Stop(self.flight_stop_reason(&state, reason))
+        self.boundary(&mut state)
     }
 }
 

@@ -373,3 +373,172 @@ fn no_coalesce_disables_the_flight_layer_but_keeps_the_cache() {
     assert!(second.stats.cache_hit, "the cache still dedups in sequence");
     assert_eq!(eng.coalesce_stats(), (0, 0));
 }
+
+/// A policy that lets the execution make only as many duality decisions as
+/// the test has granted, holding each further call until the next grant, so
+/// a test can observe a participant's answer while the flight is provably
+/// still running.
+struct StepPolicy {
+    calls: AtomicU64,
+    granted: AtomicU64,
+}
+
+impl StepPolicy {
+    fn new(granted: u64) -> Arc<StepPolicy> {
+        Arc::new(StepPolicy {
+            calls: AtomicU64::new(0),
+            granted: AtomicU64::new(granted),
+        })
+    }
+
+    fn calls(&self) -> u64 {
+        self.calls.load(Ordering::SeqCst)
+    }
+
+    fn grant(&self, more: u64) {
+        self.granted.fetch_add(more, Ordering::SeqCst);
+    }
+}
+
+impl SolverPolicy for StepPolicy {
+    fn choose(&self, _g: &Hypergraph, _h: &Hypergraph) -> SolverKind {
+        let call = self.calls.fetch_add(1, Ordering::SeqCst) + 1;
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while self.granted.load(Ordering::SeqCst) < call && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(1));
+        }
+        SolverKind::BmTree
+    }
+
+    fn name(&self) -> &'static str {
+        "step"
+    }
+}
+
+/// Starts a streamed enumeration under `policy` (two decisions granted) and
+/// a duplicate that coalesces onto it, with the leader's two chunks read and
+/// the execution held inside its third decision.
+fn held_flight(
+    policy: &Arc<StepPolicy>,
+) -> (Engine, qld_engine::StreamHandle, qld_engine::StreamHandle) {
+    let eng = Engine::new(EngineConfig {
+        workers: 2,
+        cache: true,
+        policy: Arc::clone(policy) as Arc<dyn SolverPolicy>,
+        ..EngineConfig::default()
+    });
+    let leader = eng.run_streaming(enumerate_request(), StreamRunOptions::default());
+    for _ in 0..2 {
+        match leader.next_event_timeout(Duration::from_secs(10)) {
+            Some(StreamEvent::Chunk(_)) => {}
+            other => panic!("expected a chunk frame, got {other:?}"),
+        }
+    }
+    let follower = eng.run_streaming(
+        enumerate_request(),
+        StreamRunOptions {
+            client_id: Some("f".into()),
+            ..StreamRunOptions::default()
+        },
+    );
+    wait_until("the duplicate to join the flight", || {
+        eng.coalesce_stats().1 >= 1
+    });
+    (eng, leader, follower)
+}
+
+/// Reads `handle` up to its terminal, failing if none arrives within 5 s.
+fn terminal_within(handle: &qld_engine::StreamHandle, who: &str) -> qld_engine::Response {
+    loop {
+        match handle.next_event_timeout(Duration::from_secs(5)) {
+            Some(StreamEvent::Chunk(_)) => {}
+            Some(StreamEvent::Done(response)) => return response,
+            None => panic!("{who} got no terminal while the flight was held"),
+        }
+    }
+}
+
+/// The number of transversals in a cancelled participant's partial answer
+/// (0 when it was cancelled before it consumed any).
+fn partial_transversals(response: &qld_engine::Response) -> usize {
+    assert_eq!(response.halted, Some(StopReason::Cancelled));
+    match &response.outcome {
+        Ok(Outcome::Transversals {
+            transversals,
+            complete: false,
+        }) => transversals.len(),
+        Err(e) if e.code == qld_engine::ErrorCode::Cancelled => 0,
+        other => panic!("expected a partial enumeration, got {other:?}"),
+    }
+}
+
+#[test]
+fn cancelled_follower_is_answered_at_the_next_yield_boundary() {
+    let policy = StepPolicy::new(2);
+    let (eng, leader, follower) = held_flight(&policy);
+
+    // One more decision: the flight reaches one more yield boundary and is
+    // held again inside the fourth decision.  The cancelled follower must
+    // be answered there, not when the whole enumeration ends.
+    follower.cancel_token().cancel();
+    policy.grant(1);
+    let f_terminal = terminal_within(&follower, "the cancelled follower");
+    assert!(partial_transversals(&f_terminal) < 8);
+    assert_eq!(f_terminal.client_id.as_deref(), Some("f"));
+    assert!(policy.calls() <= 4, "answered while the flight still ran");
+
+    // The leader never saw the follower's cancel.
+    policy.grant(u64::MAX / 2);
+    let l_terminal = terminal_within(&leader, "the leader");
+    assert_eq!(l_terminal.halted, None);
+    match &l_terminal.outcome {
+        Ok(Outcome::Transversals {
+            transversals,
+            complete: true,
+        }) => assert_eq!(transversals.len(), 8),
+        other => panic!("unexpected leader outcome: {other:?}"),
+    }
+    assert!(
+        leader
+            .next_event_timeout(Duration::from_millis(100))
+            .is_none(),
+        "a second terminal for the leader"
+    );
+    assert_eq!(policy.calls(), 9, "one execution");
+    assert_eq!(eng.cache_stats().entries, 1);
+}
+
+#[test]
+fn cancelled_leader_is_answered_at_the_next_yield_boundary() {
+    let policy = StepPolicy::new(2);
+    let (eng, leader, follower) = held_flight(&policy);
+
+    // The leader detaches at the next boundary and is answered there with
+    // its partial, while the flight is held again for the follower.
+    leader.cancel_token().cancel();
+    policy.grant(1);
+    let l_terminal = terminal_within(&leader, "the cancelled leader");
+    assert!(partial_transversals(&l_terminal) < 8);
+    assert!(policy.calls() <= 4, "answered while the flight still ran");
+
+    // The follower rides the promoted flight to the complete answer, and
+    // the worker answers the leader no second time.
+    policy.grant(u64::MAX / 2);
+    let f_terminal = terminal_within(&follower, "the follower");
+    assert_eq!(f_terminal.halted, None);
+    match &f_terminal.outcome {
+        Ok(Outcome::Transversals {
+            transversals,
+            complete: true,
+        }) => assert_eq!(transversals.len(), 8),
+        other => panic!("unexpected follower outcome: {other:?}"),
+    }
+    assert!(
+        leader
+            .next_event_timeout(Duration::from_millis(100))
+            .is_none(),
+        "a second terminal for the leader"
+    );
+    assert_eq!(policy.calls(), 9, "one execution");
+    assert_eq!(eng.cache_stats().entries, 1);
+}

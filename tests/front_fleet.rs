@@ -638,6 +638,27 @@ fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
     }
 }
 
+/// Reads a session's lines to end of file, with the time the last one came.
+fn read_to_end_timed(reader: BufReader<UnixStream>) -> (Vec<String>, Instant) {
+    let mut last = Instant::now();
+    let lines = reader
+        .lines()
+        .map(|l| {
+            last = Instant::now();
+            l.unwrap()
+        })
+        .collect();
+    (lines, last)
+}
+
+/// Reads a one-request session to end of file: its one answer line and the
+/// time it came.
+fn read_one_answer(stream: UnixStream) -> (String, Instant) {
+    let (lines, done) = read_to_end_timed(BufReader::new(stream));
+    assert_eq!(lines.len(), 1, "{lines:#?}");
+    (lines.into_iter().next().unwrap(), done)
+}
+
 /// Cross-session single-flight through the front: K client sessions stampede
 /// the same one-shot key; hash affinity sends every duplicate to the owning
 /// shard, whose flight table executes it exactly once.  Every session gets
@@ -713,8 +734,9 @@ fn stampede_across_sessions_reaches_a_shard_exactly_once() {
 }
 
 /// Leader promotion through the front: when the flight leader's client
-/// cancels, the duplicate from another session that coalesced onto it on the
-/// owning shard rides the same flight to the complete answer.
+/// cancels, it is answered at once, and the duplicate from another session
+/// that coalesced onto it on the owning shard rides the same flight to the
+/// complete answer.
 #[test]
 fn cancelled_leader_promotes_a_follower_session() {
     let front = TestFront::start("promote", 2);
@@ -743,9 +765,7 @@ fn cancelled_leader_promotes_a_follower_session() {
         let mut stream = UnixStream::connect(&socket).unwrap();
         stream.write_all(follower_line.as_bytes()).unwrap();
         stream.shutdown(std::net::Shutdown::Write).unwrap();
-        let lines: Vec<String> = BufReader::new(stream).lines().map(|l| l.unwrap()).collect();
-        assert_eq!(lines.len(), 1, "{lines:#?}");
-        lines.into_iter().next().unwrap()
+        read_one_answer(stream)
     });
     wait_for("the follower to coalesce", || {
         fleet_sum(&front, 2, "\"coalesced\":") >= 1
@@ -755,7 +775,7 @@ fn cancelled_leader_promotes_a_follower_session() {
     // while the flight runs on for B.
     writeln!(a, "cancel id=0").unwrap();
     a.shutdown(std::net::Shutdown::Write).unwrap();
-    let a_lines: Vec<String> = a_reader.lines().map(|l| l.unwrap()).collect();
+    let (a_lines, a_done) = read_to_end_timed(a_reader);
     // The cancelled terminal and the cancel ack may arrive in either order
     // (the shard answers the ack independently of the dying mine).
     assert_eq!(a_lines.len(), 2, "{a_lines:#?}");
@@ -772,8 +792,15 @@ fn cancelled_leader_promotes_a_follower_session() {
         "{a_lines:#?}"
     );
 
-    // B rides out the promotion to a complete, uncancelled answer.
-    let b_line = b.join().unwrap();
+    // B rides out the promotion to a complete, uncancelled answer, which
+    // comes only after A's: A was answered when it detached, not when the
+    // flight ended.
+    assert!(
+        fleet_sum(&front, 2, "\"inflight\":") >= 1,
+        "the flight still runs after the cancelled leader's answer"
+    );
+    let (b_line, b_done) = b.join().unwrap();
+    assert!(a_done < b_done, "the cancelled leader was answered late");
     assert!(b_line.contains("\"client_id\":\"dup\""), "{b_line}");
     assert!(b_line.contains("\"ok\":true"), "{b_line}");
     assert!(b_line.contains("\"complete\":true"), "{b_line}");
@@ -785,8 +812,8 @@ fn cancelled_leader_promotes_a_follower_session() {
 
 /// Follower cancel through the front: a duplicate that coalesced onto
 /// another session's flight on the owning shard and then cancels detaches
-/// alone — it gets its own cancelled terminal and ack, while the leader's
-/// session still gets the complete answer.
+/// alone — it gets its own cancelled terminal and ack at once, while the
+/// leader's session still gets the complete answer later.
 #[test]
 fn cancelled_duplicate_detaches_alone_through_the_front() {
     let front = TestFront::start("follower-cancel", 2);
@@ -801,9 +828,7 @@ fn cancelled_duplicate_detaches_alone_through_the_front() {
         let mut stream = UnixStream::connect(&socket).unwrap();
         stream.write_all(a_line.as_bytes()).unwrap();
         stream.shutdown(std::net::Shutdown::Write).unwrap();
-        let lines: Vec<String> = BufReader::new(stream).lines().map(|l| l.unwrap()).collect();
-        assert_eq!(lines.len(), 1, "{lines:#?}");
-        lines.into_iter().next().unwrap()
+        read_one_answer(stream)
     });
     wait_for("the leader to reach a worker", || {
         fleet_sum(&front, 2, "\"flights\":") >= 1
@@ -820,7 +845,11 @@ fn cancelled_duplicate_detaches_alone_through_the_front() {
     // ...and then cancels it.
     writeln!(b, "cancel id=0").unwrap();
     b.shutdown(std::net::Shutdown::Write).unwrap();
-    let b_lines: Vec<String> = b_reader.lines().map(|l| l.unwrap()).collect();
+    let (b_lines, b_done) = read_to_end_timed(b_reader);
+    assert!(
+        fleet_sum(&front, 2, "\"inflight\":") >= 1,
+        "the flight still runs after the cancelled duplicate's answer"
+    );
     assert_eq!(b_lines.len(), 2, "{b_lines:#?}");
     assert!(
         b_lines.iter().any(|l| l.starts_with("{\"id\":0,")
@@ -835,8 +864,11 @@ fn cancelled_duplicate_detaches_alone_through_the_front() {
         "{b_lines:#?}"
     );
 
-    // The leader never saw B's cancel.
-    let a_line = a.join().unwrap();
+    // The leader never saw B's cancel, and its complete answer comes only
+    // after B's: B was answered at the flight's next yield boundary, not
+    // when the flight ended.
+    let (a_line, a_done) = a.join().unwrap();
+    assert!(b_done < a_done, "the cancelled duplicate was answered late");
     assert!(a_line.contains("\"client_id\":\"leader\""), "{a_line}");
     assert!(a_line.contains("\"ok\":true"), "{a_line}");
     assert!(a_line.contains("\"complete\":true"), "{a_line}");
