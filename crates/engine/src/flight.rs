@@ -19,12 +19,18 @@
 //! terminal [`Response`] built from the same outcome and telemetry as the
 //! leader's — byte-identical modulo `id`/`client_id`.
 //!
+//! Every participant is checked at each of the execution's yield
+//! boundaries, as a solo job is: a follower that was cancelled (or spent
+//! its item quota) is answered there with the partial it consumed and
+//! detaches alone.
+//!
 //! **Leader promotion:** a flight is not killed by its leader's cancellation
 //! or disconnection.  The execution's sink keeps running while *any*
-//! participant still wants the result; a stopped leader merely detaches
-//! (its own response is the partial it consumed, like any cancelled job)
-//! while the flight runs on for the followers — and a naturally completed
-//! flight is cached even if the original leader gave up along the way.
+//! participant still wants the result; a stopped leader merely detaches,
+//! answered at that boundary with the partial it consumed like any
+//! cancelled job, while the flight runs on for the followers — and a
+//! naturally completed flight is cached even if the original leader gave up
+//! along the way.
 //!
 //! Joins happen at two levels: submission (`Submitter::submit`, the one
 //! path behind `run_batch`, `run_streaming` and every serve session)
@@ -166,8 +172,9 @@ impl FlightTable {
 }
 
 /// One coalesced execution: the chunk buffer every follower replays from,
-/// and the followers themselves.  The leader is not a participant here — its
-/// frames flow through the executing worker's normal paths.
+/// and the followers themselves.  The leader's frames flow through the
+/// executing worker's [`FlightSink`]; the flight only records whether it
+/// detached.
 pub(crate) struct Flight {
     /// The request kind, for follower chunk framing (identical requests have
     /// identical kinds, so the leader's is everyone's).
@@ -488,7 +495,7 @@ impl<'a> FlightSink<'a> {
         self.emitted
     }
 
-    /// Why a still-attached leader can consume no further, if it cannot.
+    /// Why the attached leader can consume no further; `None` while it can.
     fn leader_would_stop(&self) -> Option<StopReason> {
         if self.job.cancel.is_cancelled() || self.receiver_gone {
             return Some(StopReason::Cancelled);
