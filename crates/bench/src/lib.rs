@@ -1,7 +1,7 @@
 //! # qld-bench
 //!
-//! Criterion benchmarks, one per experiment table/figure of `EXPERIMENTS.md`
-//! (E2–E17).  The benchmarks time exactly the workloads defined in
+//! Criterion benchmarks, one per experiment table of `EXPERIMENTS.md`
+//! (E2–E9 and E12).  The benchmarks time exactly the workloads defined in
 //! `qld_harness::workloads`, so the rows of the experiment tables and the bench
 //! results refer to the same instances.
 //!

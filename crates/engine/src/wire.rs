@@ -777,6 +777,7 @@ mod tests {
             "enumerate n=4:0,1;2,3 limit=3",
             "enumerate n=3:.;0,1",
             "mine n=3:0,1;0,1;1,2 z=1 g=n=3:- h=n=3:0,1",
+            "mine n=3:0,1;0,1;1,2 z=1 g=n=3:2 h=n=3:0,1",
             "mine n=3:0,1;0,1;1,2 z=1 g=n=3:- h=n=3:- full=true",
             "keys 1,2;1,3",
             "keys -",

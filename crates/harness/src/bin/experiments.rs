@@ -1,4 +1,4 @@
-//! Prints the experiment tables (E2–E14).
+//! Prints the experiment tables (E2–E9 and E12; the list is `experiments::EXPERIMENTS`).
 //!
 //! ```text
 //! cargo run --release -p qld-harness --bin experiments            # all experiments
@@ -6,7 +6,7 @@
 //! cargo run --release -p qld-harness --bin experiments -- --tsv   # machine-readable
 //! ```
 
-use qld_harness::experiments::{run, run_all, ALL_EXPERIMENTS};
+use qld_harness::experiments::{run, run_all, EXPERIMENTS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -26,10 +26,8 @@ fn main() {
             match run(id) {
                 Some(t) => out.push(t),
                 None => {
-                    eprintln!(
-                        "unknown experiment `{id}`; available: {}",
-                        ALL_EXPERIMENTS.join(", ")
-                    );
+                    let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+                    eprintln!("unknown experiment `{id}`; available: {}", ids.join(", "));
                     std::process::exit(2);
                 }
             }

@@ -2,7 +2,9 @@
 //!
 //! Experiment harness for the reproduction of Gottlob's *Deciding Monotone Duality …
 //! in Quadratic Logspace* (PODS 2013): shared workloads, the experiment tables E2–E9
-//! (see `DESIGN.md` and `EXPERIMENTS.md`), and the Figure 1 generator.
+//! and E12 (see `DESIGN.md` and `EXPERIMENTS.md`), and the Figure 1 generator.  The
+//! serving layers (engine, transport, streaming, fleet) are measured by `perfbench/`
+//! and tested by the engine and fleet suites, not by experiment tables.
 //!
 //! Binaries:
 //!

@@ -1,11 +1,10 @@
 //! Shared workload definitions.
 //!
-//! The experiment tables (E2–E9), the Criterion benches, and several integration tests
+//! The experiment tables (E2–E9), the Criterion benches, `perfbench/`, and several tests
 //! all iterate over the same instance families; defining them once here keeps the
 //! numbers in `EXPERIMENTS.md` reproducible by `cargo bench` without duplication.
 
 use qld_datamining::BooleanRelation;
-use qld_engine::Request;
 use qld_hypergraph::generators::{self, LabelledInstance};
 use qld_keys::RelationInstance;
 
@@ -128,73 +127,8 @@ pub fn coterie_workloads() -> Vec<(String, qld_coteries::Coterie)> {
     ]
 }
 
-/// A mixed engine batch of at least `min_requests` typed requests (E10 and the
-/// engine bench): duality checks (dual and perturbed), limited transversal
-/// enumerations, itemset-border identifications, and minimal-key enumerations,
-/// all drawn from the workloads above.  Requests cycle deterministically, so
-/// batches of any size are reproducible.
-pub fn engine_batch(min_requests: usize) -> Vec<Request> {
-    let mut base: Vec<Request> = Vec::new();
-    for li in dual_instances() {
-        base.push(Request::DecideDuality {
-            g: li.g.clone(),
-            h: li.h.clone(),
-        });
-    }
-    for li in non_dual_instances() {
-        base.push(Request::DecideDuality {
-            g: li.g.clone(),
-            h: li.h.clone(),
-        });
-    }
-    for (i, li) in dual_instances().into_iter().enumerate() {
-        base.push(Request::EnumerateTransversals {
-            g: li.g,
-            limit: Some(2 + i % 5),
-        });
-    }
-    for (_, relation, z) in datamining_workloads() {
-        let borders = qld_datamining::borders_exact(&relation, z);
-        // one complete- and one incomplete-border identification per relation
-        base.push(Request::IdentifyItemsetBorders {
-            relation: relation.clone(),
-            threshold: z,
-            minimal_infrequent: borders.minimal_infrequent.clone(),
-            maximal_frequent: borders.maximal_frequent.clone(),
-        });
-        let mut partial = borders.maximal_frequent.clone();
-        if !partial.is_empty() {
-            partial.remove_edge(0);
-        }
-        base.push(Request::IdentifyItemsetBorders {
-            relation,
-            threshold: z,
-            minimal_infrequent: borders.minimal_infrequent,
-            maximal_frequent: partial,
-        });
-    }
-    for (_, instance) in key_workloads() {
-        base.push(Request::FindMinimalKeys { instance });
-    }
-    let mut out = Vec::with_capacity(min_requests.max(base.len()));
-    while out.len() < min_requests {
-        out.extend(base.iter().cloned());
-    }
-    out
-}
-
-/// The engine batch rendered as wire-format request lines (E11 and the serve
-/// bench): the text a socket client would send, one request per line,
-/// covering all four request kinds.
-pub fn engine_wire_lines(min_requests: usize) -> Vec<String> {
-    engine_batch(min_requests)
-        .iter()
-        .map(qld_engine::wire::render_request)
-        .collect()
-}
-
-/// The classical border-stress relation behind the streaming experiments
-/// (E13, the `e13_stream` bench, and the CI cancel smoke): over `2k` items,
+/// The classical border-stress relation behind perfbench's streamed mining
+/// workloads (the CI cancel smoke builds the same rows inline): over `2k` items,
 /// row `i` is the full universe minus the pair `{2i, 2i+1}`.  At threshold 0
 /// the maximal frequent border is the `k` rows themselves and the minimal
 /// infrequent border is the `2^k` transversals of the perfect matching — a
@@ -210,69 +144,9 @@ pub fn border_stress_relation(pairs: usize) -> BooleanRelation {
     )
 }
 
-/// Streaming workloads (E13 and the `e13_stream` bench): long-running,
-/// many-item requests where time-to-first-result is the interesting number.
-/// Returns `(name, request)`; every request yields at least a dozen items.
-pub fn streaming_workloads() -> Vec<(String, Request)> {
-    let mut out = Vec::new();
-    for k in [4usize, 5] {
-        let li = generators::matching_instance(k);
-        out.push((
-            format!("enumerate matching({k}) [{} items]", 1usize << k),
-            Request::EnumerateTransversals {
-                g: li.g,
-                limit: None,
-            },
-        ));
-    }
-    for pairs in [4usize, 5] {
-        let relation = border_stress_relation(pairs);
-        let n = relation.num_items();
-        out.push((
-            format!(
-                "mine-full pair-complement({pairs}) [{} items]",
-                pairs + (1usize << pairs)
-            ),
-            Request::MineBorders {
-                relation,
-                threshold: 0,
-                minimal_infrequent: qld_hypergraph::Hypergraph::new(n),
-                maximal_frequent: qld_hypergraph::Hypergraph::new(n),
-            },
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn wire_lines_round_trip_to_the_same_requests() {
-        let requests = engine_batch(40);
-        let lines = engine_wire_lines(40);
-        assert_eq!(requests.len(), lines.len());
-        for (request, line) in requests.iter().zip(&lines) {
-            assert_eq!(
-                qld_engine::wire::parse_request(line).as_ref(),
-                Ok(request),
-                "line `{line}` did not round-trip"
-            );
-        }
-    }
-
-    #[test]
-    fn engine_batches_mix_all_request_kinds() {
-        let batch = engine_batch(100);
-        assert!(batch.len() >= 100);
-        for kind in ["check", "enumerate", "mine", "keys"] {
-            assert!(
-                batch.iter().any(|r| r.kind() == kind),
-                "missing request kind {kind}"
-            );
-        }
-    }
 
     #[test]
     fn workload_inventories_are_nonempty_and_consistent() {
@@ -295,18 +169,6 @@ mod tests {
         let exact = qld_datamining::borders_exact(&relation, 0);
         assert_eq!(exact.maximal_frequent.num_edges(), pairs);
         assert_eq!(exact.minimal_infrequent.num_edges(), 1 << pairs);
-    }
-
-    #[test]
-    fn streaming_workloads_cover_both_streaming_kinds() {
-        let workloads = streaming_workloads();
-        assert!(workloads.len() >= 3);
-        assert!(workloads
-            .iter()
-            .any(|(_, r)| matches!(r, Request::EnumerateTransversals { .. })));
-        assert!(workloads
-            .iter()
-            .any(|(_, r)| matches!(r, Request::MineBorders { .. })));
     }
 
     #[test]

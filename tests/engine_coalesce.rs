@@ -3,7 +3,8 @@
 //! every follower answered byte-identically to the leader (modulo its own
 //! `id`/`client_id` envelope), both in-process and over the Unix-socket
 //! transport — and a cancelled leader must detach without killing the
-//! flight for its followers.
+//! flight for its followers.  A local-routed `check` skips the pool and the
+//! flight layer alike: it is answered while the only worker is held.
 //!
 //! Determinism: the tests gate the *execution* inside a custom
 //! [`SolverPolicy`] (every duality decision — including each step of a
@@ -12,7 +13,7 @@
 //! spin loops only bound how long a regression can hang the suite.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -372,6 +373,57 @@ fn no_coalesce_disables_the_flight_layer_but_keeps_the_cache() {
     assert!(!first.stats.cache_hit);
     assert!(second.stats.cache_hit, "the cache still dedups in sequence");
     assert_eq!(eng.coalesce_stats(), (0, 0));
+}
+
+#[test]
+fn local_route_answers_while_the_only_worker_is_held() {
+    for local_threshold in [usize::MAX, 0] {
+        let policy = GatePolicy::new(1);
+        let eng = Arc::new(Engine::new(EngineConfig {
+            workers: 1,
+            policy: Arc::clone(&policy) as Arc<dyn SolverPolicy>,
+            local_threshold,
+            ..EngineConfig::default()
+        }));
+        // Enumerations always take the pool: this one holds the only worker
+        // inside its first decision.
+        let held = eng.run_streaming(enumerate_request(), StreamRunOptions::default());
+        wait_until("the worker to reach the gate", || policy.calls() >= 1);
+
+        let (tx, rx) = mpsc::channel();
+        let asker = Arc::clone(&eng);
+        let check = thread::spawn(move || {
+            let _ = tx.send(asker.run_one(check_request()));
+        });
+        let response = if local_threshold == usize::MAX {
+            // Local route: answered inline on the asking thread, well
+            // before the gate's own 10 s deadline.
+            let response = rx
+                .recv_timeout(Duration::from_secs(5))
+                .expect("a local check waited for the held worker");
+            policy.release();
+            response
+        } else {
+            // Pool route: queued behind the held enumeration.
+            assert!(
+                rx.recv_timeout(Duration::from_millis(200)).is_err(),
+                "a pool check was answered while the only worker was held"
+            );
+            policy.release();
+            rx.recv_timeout(Duration::from_secs(10))
+                .expect("the pool check was never answered after the release")
+        };
+        check.join().unwrap();
+        assert_eq!(
+            response.outcome,
+            Ok(Outcome::Duality {
+                dual: true,
+                witness: None
+            }),
+            "local_threshold {local_threshold}"
+        );
+        assert_eq!(terminal_within(&held, "the held enumeration").halted, None);
+    }
 }
 
 /// A policy that lets the execution make only as many duality decisions as

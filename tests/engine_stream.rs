@@ -201,6 +201,54 @@ fn full_border_mine_agrees_with_dualize_and_advance() {
 }
 
 #[test]
+fn streamed_full_border_mine_reassembles_into_the_one_shot_result() {
+    // Cache off: the one-shot run executes again instead of replaying the
+    // streamed run's cached answer.
+    let engine = Engine::new(EngineConfig {
+        workers: 1,
+        cache: false,
+        ..EngineConfig::default()
+    });
+    let request = Request::MineBorders {
+        relation: pair_complement_relation(4),
+        threshold: 0,
+        minimal_infrequent: Hypergraph::new(8),
+        maximal_frequent: Hypergraph::new(8),
+    };
+    let handle = engine.run_streaming(request.clone(), StreamRunOptions::default());
+    let (items, _, done) = drain(&handle, Duration::from_secs(120));
+    let oneshot = engine.run_one(request);
+    assert!(done.halted.is_none());
+    assert_eq!(done.outcome, oneshot.outcome);
+    let Ok(Outcome::FullBorders {
+        maximal_frequent,
+        minimal_infrequent,
+        complete: true,
+        ..
+    }) = &done.outcome
+    else {
+        panic!("unexpected outcome {:?}", done.outcome);
+    };
+    // 4 maximal frequent rows and 2^4 minimal infrequent itemsets.
+    assert_eq!((maximal_frequent.len(), minimal_infrequent.len()), (4, 16));
+    let mut streamed: Vec<(bool, Vec<usize>)> = items
+        .into_iter()
+        .map(|item| match item {
+            StreamItem::BorderElement { maximal, itemset } => (maximal, itemset),
+            other => panic!("unexpected item {other:?}"),
+        })
+        .collect();
+    streamed.sort();
+    let mut terminal: Vec<(bool, Vec<usize>)> = maximal_frequent
+        .iter()
+        .map(|s| (true, s.clone()))
+        .chain(minimal_infrequent.iter().map(|s| (false, s.clone())))
+        .collect();
+    terminal.sort();
+    assert_eq!(streamed, terminal);
+}
+
+#[test]
 fn streamed_cache_hits_replay_the_same_chunks() {
     let engine = Engine::with_defaults();
     let li = generators::matching_instance(3);

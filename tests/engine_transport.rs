@@ -51,18 +51,22 @@ mod socket {
         let runner = thread::spawn(move || server.run(&eng_ref, ServeOptions::default()));
 
         const PER_CLIENT: usize = 20;
+        // Every request kind, with a marker of its correct answer.
+        const KINDS: [(&str, &str); 4] = [
+            ("check 0,1;2,3 0,2;0,3;1,2;1,3", "\"dual\":true"),
+            ("keys 1,2;1,3", "\"keys\":[[1]]"),
+            ("enumerate 0,1;2,3 limit=3", "\"count\":3"),
+            (
+                "mine n=3:0,1;0,1;1,2 z=1 g=n=3:2 h=n=3:0,1",
+                "\"status\":\"complete\"",
+            ),
+        ];
         let mut clients = Vec::new();
         for name in ["alice", "bob"] {
             let path = path.clone();
             clients.push(thread::spawn(move || {
                 let lines: Vec<String> = (0..PER_CLIENT)
-                    .map(|i| {
-                        if i % 2 == 0 {
-                            format!("check 0,1;2,3 0,2;0,3;1,2;1,3 id={name}-{i}")
-                        } else {
-                            format!("keys 1,2;1,3 id={name}-{i}")
-                        }
-                    })
+                    .map(|i| format!("{} id={name}-{i}", KINDS[i % KINDS.len()].0))
                     .collect();
                 (name, client_session(&path, &lines))
             }));
@@ -78,14 +82,8 @@ mod socket {
                     "{name} line {i}: {line}"
                 );
                 assert!(line.contains("\"ok\":true"), "{name} line {i}: {line}");
-                if i % 2 == 0 {
-                    assert!(line.contains("\"dual\":true"), "{name} line {i}: {line}");
-                } else {
-                    assert!(
-                        line.contains("\"kind\":\"keys\""),
-                        "{name} line {i}: {line}"
-                    );
-                }
+                let expected = KINDS[i % KINDS.len()].1;
+                assert!(line.contains(expected), "{name} line {i}: {line}");
             }
         }
         handle.shutdown();

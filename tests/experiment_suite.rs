@@ -2,12 +2,12 @@
 //! builds, is non-empty, and all of its correctness cells report success — this is the
 //! automated counterpart of the `EXPERIMENTS.md` record.
 
-use qld_harness::experiments::{self, all_correctness_cells_pass, ALL_EXPERIMENTS};
+use qld_harness::experiments::{self, all_correctness_cells_pass, EXPERIMENTS};
 use qld_harness::figure::{figure1_ascii, figure1_dot};
 
 #[test]
 fn every_experiment_produces_a_consistent_table() {
-    for id in ALL_EXPERIMENTS {
+    for (id, _) in EXPERIMENTS {
         let table = experiments::run(id).unwrap_or_else(|| panic!("experiment {id} missing"));
         assert!(!table.is_empty(), "{id} produced no rows");
         assert!(

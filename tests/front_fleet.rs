@@ -248,9 +248,26 @@ fn permuted_reask_hits_the_same_shards_cache() {
     assert!(stats[0].contains("\"inflight\":"), "{}", stats[0]);
     assert!(stats[0].contains("\"sessions\":"), "{}", stats[0]);
 
+    // The other request kinds route the same way: each re-ask hits the cache
+    // of the shard that computed it.
+    let kinds = "enumerate 0,1;2,3 limit=3 id=e\n\
+                 mine n=3:0,1;0,1;1,2 z=1 g=n=3:- h=n=3:0,1 id=m\n\
+                 keys 1,2;1,3 id=k\n";
+    for cache_hit in [false, true] {
+        let answers = front.ask(kinds);
+        assert_eq!(answers.len(), 3, "{answers:#?}");
+        for answer in &answers {
+            assert!(answer.contains("\"ok\":true"), "{answer}");
+            assert!(
+                answer.contains(&format!("\"cache_hit\":{cache_hit}")),
+                "{answer}"
+            );
+        }
+    }
+
     let summary = front.stop();
     assert_eq!(summary.errors, 0);
-    assert_eq!(summary.requests, 3);
+    assert_eq!(summary.requests, 9);
 }
 
 /// Protocol transparency: a streamed session through the router produces the
